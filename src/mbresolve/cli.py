@@ -31,7 +31,6 @@ from .errors import (
 from .graph import Graph, all_pairs_distances, twin_partition
 
 ENV_MAX_N = "MBRESOLVE_MAX_N"
-ENV_THREADS = "MBRESOLVE_THREADS"
 ENV_TT_ENTRIES = "MBRESOLVE_TT_ENTRIES"
 
 
@@ -45,18 +44,15 @@ def _env_int(name: str) -> int | None:
         raise MBResolveError(f"environment variable {name} must be an integer, got {raw!r}") from None
 
 
-def _effective_limits(args) -> tuple[int, int, int]:
-    """(size_cap, threads, tt_entries); flags win over environment."""
+def _effective_limits(args) -> tuple[int, int]:
+    """(size_cap, tt_entries); flags win over environment."""
     size_cap = args.max_n if getattr(args, "max_n", None) is not None else _env_int(ENV_MAX_N)
     if size_cap is None:
         size_cap = resolve.DEFAULT_SIZE_CAP
-    threads = args.threads if getattr(args, "threads", None) is not None else _env_int(ENV_THREADS)
-    if threads is None:
-        threads = 1
     tt = args.tt_entries if getattr(args, "tt_entries", None) is not None else _env_int(ENV_TT_ENTRIES)
     if tt is None:
         tt = game.DEFAULT_TT_LIMIT
-    return size_cap, threads, tt
+    return size_cap, tt
 
 
 def _parse_params(args) -> dict:
@@ -75,18 +71,18 @@ def _parse_params(args) -> dict:
     return params
 
 
-def _load_source(args) -> tuple[Graph, dict, tuple]:
-    """(graph, descriptor, automorphism generators) from --family or --file."""
+def _load_source(args) -> tuple[Graph, dict]:
+    """(graph, descriptor) from --family or --file."""
     if getattr(args, "family", None):
         spec = families.FamilySpec.make(args.family, **_parse_params(args))
         gg = families.gen_family(spec)
         descriptor = {"family": spec.family, "params": dict(spec.params), "n": gg.graph.n}
-        return gg.graph, descriptor, gg.automorphism_generators
+        return gg.graph, descriptor
     if getattr(args, "file", None):
         text = Path(args.file).read_text(encoding="utf-8")
         g = graphio.loads(text)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-        return g, {"file": args.file, "sha256": digest, "n": g.n}, ()
+        return g, {"file": args.file, "sha256": digest, "n": g.n}
     raise MBResolveError("a graph source is required: --family <name> or --file <path>")
 
 
@@ -150,31 +146,26 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    size_cap, threads, tt = _effective_limits(args)
-    g, descriptor, autos = _load_source(args)
+    size_cap, tt = _effective_limits(args)
+    g, descriptor = _load_source(args)
     if args.force_size:
         size_cap = max(size_cap, g.n)
     dm = all_pairs_distances(g)
-    solver_kwargs = dict(
-        size_cap=size_cap,
-        tt_limit=tt,
-        automorphisms=autos or None,
-        use_symmetry=args.symmetry,
-    )
     ks: list[int]
     if args.k == "all":
         ks = list(range(1, max(2, dm.diameter)))
     else:
         ks = [int(args.k)]
     per_k = []
-    jumps = None
+    outcomes = []
     started = time.perf_counter()
     for k in ks:
-        solver = game.GameSolver(g, dm, k, **solver_kwargs)
+        solver = game.GameSolver(g, dm, k, size_cap=size_cap, tt_limit=tt)
         t0 = time.perf_counter()
         entry: dict = {"k": k}
         if args.game == "both":
             out = solver.outcome()
+            outcomes.append((k, out))
             entry["outcome"] = _outcome_dict(out)
             if args.counts:
                 entry["counts"] = solver.move_counts(out).defined()
@@ -195,24 +186,18 @@ def cmd_solve(args) -> int:
         entry["stats"] = {"nodes": solver.stats.nodes, "tt_entries": solver.stats.tt_entries,
                           "count_nodes": solver.stats.count_nodes}
         per_k.append(entry)
+    report: dict = {"graph": descriptor, "k": args.k, "per_k": per_k}
     if args.k == "all" and args.game == "both":
-        symbols = [(e["k"], e["outcome"]["symbol"]) for e in per_k]
-        jumps = [
-            [k, prev, cur]
-            for (_, prev), (k, cur) in zip(symbols, symbols[1:])
-            if prev != cur
-        ]
-    report: dict = {"graph": descriptor, "k": args.k, "threads": threads, "per_k": per_k}
-    if jumps is not None:
-        report["jumps"] = jumps
+        jumps = game.JumpReport.from_outcomes(outcomes).jumps
+        report["jumps"] = [[k, prev.letter, cur.letter] for k, prev, cur in jumps]
     report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     _emit(report)
     return 0
 
 
 def cmd_dim(args) -> int:
-    size_cap, threads, _ = _effective_limits(args)
-    g, descriptor, _autos = _load_source(args)
+    size_cap, _ = _effective_limits(args)
+    g, descriptor = _load_source(args)
     if args.force_size:
         size_cap = max(size_cap, g.n)
     dm = all_pairs_distances(g)
@@ -223,14 +208,13 @@ def cmd_dim(args) -> int:
         "k": int(args.k),
         "dim": result.value,
         "witness": list(result.witness),
-        "threads": threads,
         "timing": {"seconds": round(time.perf_counter() - t0, 6)},
     })
     return 0
 
 
 def cmd_check(args) -> int:
-    g, descriptor, _autos = _load_source(args)
+    g, descriptor = _load_source(args)
     dm = all_pairs_distances(g)
     report: dict = {"graph": descriptor}
     if args.twins:
@@ -273,7 +257,7 @@ def _require_k(args) -> int:
 def cmd_verify_paper(args) -> int:
     from . import verify
 
-    size_cap, threads, tt = _effective_limits(args)
+    size_cap, tt = _effective_limits(args)
     only = args.only.split(",") if args.only else None
     suite = verify.run_suite(
         level=args.level,
@@ -287,7 +271,7 @@ def cmd_verify_paper(args) -> int:
     if args.report:
         Path(args.report).write_text(json.dumps(verify.suite_to_dict(suite), indent=2) + "\n", encoding="utf-8")
         print(f"report written to {args.report}")
-    print(f"threads: {threads}; level: {args.level}; "
+    print(f"level: {args.level}; "
           f"{sum(1 for c in suite.checks if c.passed)}/{len(suite.checks)} checks passed")
     return 0 if suite.all_passed else 1
 
@@ -308,7 +292,6 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 def _add_limit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=int, default=None, help=f"size cap override (env {ENV_MAX_N})")
     p.add_argument("--force-size", action="store_true", help="lift the size cap for this graph")
-    p.add_argument("--threads", type=int, default=None, help=f"worker count knob (env {ENV_THREADS})")
     p.add_argument("--tt-entries", type=int, default=None,
                    help=f"transposition table entry budget (env {ENV_TT_ENTRIES})")
 
@@ -336,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", choices=["m", "b", "both"], default="both")
     p.add_argument("--counts", action="store_true", help="include optimal move counts")
     p.add_argument("--certificates", action="store_true", help="include structural certificates")
-    p.add_argument("--symmetry", action="store_true",
-                   help="canonicalize positions by the family's automorphisms")
     _add_limit_flags(p)
     p.set_defaults(func=cmd_solve)
 

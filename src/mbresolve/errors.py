@@ -54,6 +54,10 @@ class CountUndefinedError(MBResolveError):
     """A move count was requested for the side that loses that game."""
 
 
+class InvariantError(MBResolveError):
+    """A solver result broke a theorem of the game; a bug, never bad input."""
+
+
 class FamilyParameterError(MBResolveError):
     """Family parameters outside the generator's valid range."""
 

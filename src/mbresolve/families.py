@@ -56,7 +56,6 @@ class FamilySpec:
 class GeneratedGraph:
     graph: Graph
     spec: FamilySpec
-    automorphism_generators: tuple[tuple[int, ...], ...] = ()
 
 
 def _int_param(spec: FamilySpec, name: str, minimum: int) -> int:
@@ -78,9 +77,7 @@ def _gen_path(spec: FamilySpec) -> GeneratedGraph:
 def _gen_cycle(spec: FamilySpec) -> GeneratedGraph:
     n = _int_param(spec, "n", 3)
     g = build_graph(n, [(i, (i + 1) % n) for i in range(n)], labels=[f"u{i + 1}" for i in range(n)])
-    rotation = tuple((i + 1) % n for i in range(n))
-    reflection = tuple((-i) % n for i in range(n))
-    return GeneratedGraph(g, spec, automorphism_generators=(rotation, reflection))
+    return GeneratedGraph(g, spec)
 
 
 def _gen_complete(spec: FamilySpec) -> GeneratedGraph:
@@ -131,9 +128,7 @@ def _gen_wheel(spec: FamilySpec) -> GeneratedGraph:
     n = _int_param(spec, "n", 3)
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)]
     g = build_graph(n + 1, edges, labels=[f"u{i + 1}" for i in range(n)] + ["hub"])
-    rotation = tuple((i + 1) % n for i in range(n)) + (n,)
-    reflection = tuple((-i) % n for i in range(n)) + (n,)
-    return GeneratedGraph(g, spec, automorphism_generators=(rotation, reflection))
+    return GeneratedGraph(g, spec)
 
 
 def _gen_petersen(spec: FamilySpec) -> GeneratedGraph:

@@ -9,9 +9,10 @@ she owns some mask outright.
 The search is a memoized boolean minimax over (maker, breaker) bitmask pairs;
 the side to move is derived from the claim counts, so the transposition key
 needs no turn bit.  Move generation restricts to vertices of still-unhit
-masks (claiming anything else helps neither side); move-count search iterates
-every legal move, with the winner restricted to win-preserving moves and the
-loser free to maximize delay.
+masks (claiming anything else helps neither side).  Move counts reuse the
+same search with a cap on the winner's claims: the winner's optimal count is
+the least cap c = 0, 1, 2, ... under which the winner still wins (iterative
+deepening), each capped run with a fresh memo.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
-from .errors import CountUndefinedError, SizeCapError
+from .errors import CountUndefinedError, InvariantError, SizeCapError
 from .graph import DistanceMatrix, Graph, twin_partition
 from .resolve import (
     DEFAULT_SIZE_CAP,
@@ -121,6 +122,22 @@ class JumpReport:
     outcomes: tuple[tuple[int, GameOutcome], ...]
     jumps: tuple[tuple[int, OutcomeSymbol, OutcomeSymbol], ...]
 
+    @classmethod
+    def from_outcomes(cls, outcomes) -> JumpReport:
+        """Report for consecutive levels' outcomes; raises if the outcome ever decreases in k.
+
+        Non-decreasing over B < N < M also gives the other jump bounds: at
+        most two transitions, and a B-to-M transition is the only one.
+        """
+        outcomes = tuple(outcomes)
+        jumps = []
+        for (_, prev), (k, cur) in zip(outcomes, outcomes[1:]):
+            if prev.symbol > cur.symbol:
+                raise InvariantError(f"outcome fell from {prev.symbol.letter} to {cur.symbol.letter} at k={k}")
+            if prev.symbol != cur.symbol:
+                jumps.append((k, prev.symbol, cur.symbol))
+        return cls(outcomes=outcomes, jumps=tuple(jumps))
+
     def outcome_at(self, k: int) -> GameOutcome:
         for kk, out in self.outcomes:
             if kk == k:
@@ -171,8 +188,6 @@ class GameSolver:
         size_cap: int | None = None,
         tt_limit: int | None = None,
         move_order: tuple[int, ...] | None = None,
-        automorphisms: tuple[tuple[int, ...], ...] | None = None,
-        use_symmetry: bool = False,
     ):
         cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
         if graph.n > cap:
@@ -181,11 +196,9 @@ class GameSolver:
         self.dm = dm
         self.k = k
         self.n = graph.n
-        self.full = (1 << graph.n) - 1
         self.masks = minimal_pair_masks(dm, k)
         self._tt_limit = DEFAULT_TT_LIMIT if tt_limit is None else tt_limit
         self._order_bits = self._build_order(move_order)
-        self._group = self._close_group(automorphisms) if (use_symmetry and automorphisms) else None
         self._win_memo: dict[bool, dict[int, bool]] = {True: {}, False: {}}
         self._searchers: dict[bool, object] = {}
         self.stats = SolverStats()
@@ -205,65 +218,28 @@ class GameSolver:
         verts = sorted(range(self.n), key=lambda v: (-class_size[v], -self.graph.degree(v), v))
         return tuple(1 << v for v in verts)
 
-    def _close_group(self, generators) -> tuple[tuple[int, ...], ...]:
-        identity = tuple(range(self.n))
-        for p in generators:
-            if sorted(p) != list(identity):
-                raise ValueError(f"not a permutation: {p}")
-        perms = {identity}
-        frontier = [tuple(p) for p in generators]
-        while frontier:
-            p = frontier.pop()
-            if p in perms:
-                continue
-            perms.add(p)
-            for q in list(perms):
-                frontier.append(tuple(p[q[i]] for i in range(self.n)))
-                frontier.append(tuple(q[p[i]] for i in range(self.n)))
-            if len(perms) > 4096:
-                raise ValueError("automorphism group too large for canonicalization")
-        return tuple(sorted(perms))
-
-    @staticmethod
-    def _apply_perm(perm: tuple[int, ...], mask: int) -> int:
-        out = 0
-        while mask:
-            bit = mask & -mask
-            out |= 1 << perm[bit.bit_length() - 1]
-            mask ^= bit
-        return out
-
-    # -- terminal tests --------------------------------------------------
-
-    def maker_done(self, maker: int) -> bool:
-        """maker already owns a resolving set."""
-        for m in self.masks:
-            if not m & maker:
-                return False
-        return True
-
-    def breaker_done(self, maker: int, breaker: int) -> bool:
-        """some pair can never be resolved by maker's future claims."""
-        for m in self.masks:
-            if not m & ~breaker:
-                return True
-        return False
-
     # -- winner search ---------------------------------------------------
 
-    def _searcher(self, maker_first: bool):
-        cached = self._searchers.get(maker_first)
-        if cached is not None:
-            return cached
+    def _searcher(self, memo: dict[int, bool], tally: SolverStats, cap: int | None = None, cap_maker: bool = True):
+        """Memoized search: does Maker win from (maker, breaker, maker_to_move)?
+
+        With a cap, the capped side (Maker if cap_maker, else Breaker) loses
+        when it is to move and already holds cap vertices, so the search
+        answers "does that side win within cap claims".  Nodes expanded are
+        counted in tally.nodes.
+        """
         masks = self.masks
-        memo = self._win_memo[maker_first]
         tt_limit = self._tt_limit
         order_bits = self._order_bits
         n = self.n
-        group = self._group
-        apply_perm = self._apply_perm
-        stats = self.stats
+        uncapped = n + 1  # more claims than there are vertices
+        maker_cap = cap if cap is not None and cap_maker else uncapped
+        breaker_cap = cap if cap is not None and not cap_maker else uncapped
 
+        # Both sides claim only live vertices (those of masks Maker has not
+        # hit).  Any other claim is a pass, and since an extra claimed vertex
+        # never hurts its owner (monotonicity), a pass never lets the winner
+        # win sooner, nor delays the winner more, than a live claim does.
         def search(maker: int, breaker: int, maker_to_move: bool) -> bool:
             live = 0
             not_breaker = ~breaker
@@ -275,14 +251,16 @@ class GameSolver:
                     live |= rest
             if not live:
                 return True  # every mask hit: maker's set resolves
-            if group is None:
-                key = (maker << n) | breaker
-            else:
-                key = min((apply_perm(p, maker) << n) | apply_perm(p, breaker) for p in group)
+            if maker_to_move:
+                if maker.bit_count() >= maker_cap:
+                    return False
+            elif breaker.bit_count() >= breaker_cap:
+                return True
+            key = (maker << n) | breaker
             hit = memo.get(key)
             if hit is not None:
                 return hit
-            stats.nodes += 1
+            tally.nodes += 1
             if maker_to_move:
                 result = False
                 for bit in order_bits:
@@ -299,11 +277,13 @@ class GameSolver:
                 memo[key] = result
             return result
 
-        self._searchers[maker_first] = search
         return search
 
     def maker_wins(self, maker: int, breaker: int, maker_to_move: bool, maker_first: bool) -> bool:
-        result = self._searcher(maker_first)(maker, breaker, maker_to_move)
+        search = self._searchers.get(maker_first)
+        if search is None:
+            search = self._searchers[maker_first] = self._searcher(self._win_memo[maker_first], self.stats)
+        result = search(maker, breaker, maker_to_move)
         self.stats.tt_entries = sum(len(t) for t in self._win_memo.values())
         return result
 
@@ -326,9 +306,8 @@ class GameSolver:
         b_winner = Player.MAKER if self.maker_wins(0, 0, False, False) else Player.BREAKER
         # an extra move never hurts: Maker winning the B-game wins the M-game,
         # Breaker winning the M-game wins the B-game
-        assert not (m_winner is Player.BREAKER and b_winner is Player.MAKER), (
-            "impossible outcome combination: second-player-only Maker win"
-        )
+        if m_winner is Player.BREAKER and b_winner is Player.MAKER:
+            raise InvariantError("impossible outcome combination: second-player-only Maker win")
         if m_winner is Player.MAKER and b_winner is Player.MAKER:
             symbol = OutcomeSymbol.M
         elif m_winner is Player.BREAKER:
@@ -338,58 +317,20 @@ class GameSolver:
         return GameOutcome(symbol=symbol, m_game_winner=m_winner, b_game_winner=b_winner)
 
     def winner_move_count(self, maker_first: bool) -> int:
-        """Winner's optimal move count for one game (winner fastest, loser stalling)."""
-        count_for_maker = self.maker_wins(0, 0, maker_first, maker_first)
-        memo: dict[int, int] = {}
-        full = self.full
-        n = self.n
-        group = self._group
-        apply_perm = self._apply_perm
-        order_bits = self._order_bits
-        stats = self.stats
+        """Winner's optimal move count for one game (winner fastest, loser stalling).
 
-        def count(maker: int, breaker: int, maker_to_move: bool) -> int:
-            if count_for_maker:
-                if self.maker_done(maker):
-                    return 0
-            elif self.breaker_done(maker, breaker):
-                return 0
-            if group is None:
-                key = (maker << n) | breaker
-            else:
-                key = min((apply_perm(p, maker) << n) | apply_perm(p, breaker) for p in group)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            stats.count_nodes += 1
-            free = full & ~(maker | breaker)
-            assert free, "non-terminal count position must have moves"
-            if maker_to_move == count_for_maker:
-                best = None
-                for bit in order_bits:
-                    if not bit & free:
-                        continue
-                    nm, nb = (maker | bit, breaker) if maker_to_move else (maker, breaker | bit)
-                    if self.maker_wins(nm, nb, not maker_to_move, maker_first) == count_for_maker:
-                        c = count(nm, nb, not maker_to_move) + 1
-                        if best is None or c < best:
-                            best = c
-                assert best is not None, "winner must have a win-preserving move"
-                result = best
-            else:
-                worst = 0
-                for bit in order_bits:
-                    if not bit & free:
-                        continue
-                    nm, nb = (maker | bit, breaker) if maker_to_move else (maker, breaker | bit)
-                    c = count(nm, nb, not maker_to_move)
-                    if c > worst:
-                        worst = c
-                result = worst
-            memo[key] = result
-            return result
-
-        return count(0, 0, maker_first)
+        That is the least number of own claims within which the winner still
+        wins; each capped search runs on a fresh memo and counts its nodes in
+        stats.count_nodes.
+        """
+        maker_is_winner = self.maker_wins(0, 0, maker_first, maker_first)
+        for cap in range(self.n + 1):
+            tally = SolverStats()
+            won = self._searcher({}, tally, cap, cap_maker=maker_is_winner)(0, 0, maker_first)
+            self.stats.count_nodes += tally.nodes
+            if won == maker_is_winner:
+                return cap
+        raise InvariantError(f"the winner does not win within all {self.n} vertices")
 
     def move_counts(self, out: GameOutcome | None = None) -> MoveCounts:
         actual = self.outcome()
@@ -427,18 +368,9 @@ def jump_report(graph: Graph, dm: DistanceMatrix, **solver_kwargs) -> JumpReport
     the resolving predicate itself.
     """
     top = max(1, dm.diameter - 1)
-    outcomes = []
-    for k in range(1, top + 1):
-        outcomes.append((k, GameSolver(graph, dm, k, **solver_kwargs).outcome()))
-    jumps = []
-    for (_, prev), (k, cur) in zip(outcomes, outcomes[1:]):
-        if prev.symbol != cur.symbol:
-            assert prev.symbol < cur.symbol, "outcome must be non-decreasing in k"
-            jumps.append((k, prev.symbol, cur.symbol))
-    assert len(jumps) <= 2, "a graph has at most two outcome transitions"
-    if any(a is OutcomeSymbol.B and b is OutcomeSymbol.M for _, a, b in jumps):
-        assert len(jumps) == 1, "a B-to-M transition excludes any other"
-    return JumpReport(outcomes=tuple(outcomes), jumps=tuple(jumps))
+    return JumpReport.from_outcomes(
+        (k, GameSolver(graph, dm, k, **solver_kwargs).outcome()) for k in range(1, top + 1)
+    )
 
 
 def certificate_fast_path(

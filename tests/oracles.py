@@ -69,7 +69,7 @@ def naive_winner_count(dm: DistanceMatrix, k: int, maker_first: bool) -> int:
     win_memo: dict = {}
     maker_is_winner = naive_maker_wins(dm, k, empty, empty, maker_first, win_memo)
 
-    def breaker_done(maker: frozenset, breaker: frozenset) -> bool:
+    def breaker_has_won(maker: frozenset, breaker: frozenset) -> bool:
         rest = frozenset(range(dm.n)) - breaker
         return not direct_is_resolving(dm, k, rest)
 
@@ -79,7 +79,7 @@ def naive_winner_count(dm: DistanceMatrix, k: int, maker_first: bool) -> int:
         if maker_is_winner:
             if direct_is_resolving(dm, k, maker):
                 return 0
-        elif breaker_done(maker, breaker):
+        elif breaker_has_won(maker, breaker):
             return 0
         key = (maker, breaker, maker_to_move)
         if key in memo:

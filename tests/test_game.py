@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from mbresolve.errors import CountUndefinedError, SizeCapError
+from mbresolve.errors import CountUndefinedError, InvariantError, SizeCapError
 from mbresolve.families import FamilySpec, connected_graph_atlas, gen_family, random_connected_graph
 from mbresolve.game import (
     CertificateKind,
+    GameOutcome,
     GamePosition,
     GameSolver,
+    JumpReport,
     OutcomeSymbol,
     Player,
     certificate_fast_path,
@@ -78,6 +80,13 @@ class TestOutcome:
         g, dm = family("cycle", n=9)
         assert outcome(g, dm, 1).symbol is OutcomeSymbol.M
 
+    def test_impossible_outcome_pair_raises(self, monkeypatch):
+        # Breaker wins the M-game yet Maker wins the B-game: an extra move never hurts, so this is a bug
+        monkeypatch.setattr(GameSolver, "maker_wins", lambda self, m, b, to_move, maker_first: not maker_first)
+        g, dm = family("cycle", n=4)
+        with pytest.raises(InvariantError):
+            GameSolver(g, dm, 1).outcome()
+
     def test_size_cap_enforced(self):
         g, dm = family("path", n=8)
         with pytest.raises(SizeCapError):
@@ -127,6 +136,18 @@ class TestMoveCounts:
             counts = move_counts(g, dm, k)
             assert (counts.brk, counts.bprime_rk) == (2, 2)
 
+    def test_pinned_counts(self):
+        # values of the exact min/max count tree that earlier versions searched
+        rows = [
+            ("fig1", {"alpha": 2}, 1, {"brk": 3, "bprime_rk": 3}),
+            ("fig1", {"alpha": 2}, 2, {"nrk": 5, "nprime_rk": 4}),
+            ("fig1", {"alpha": 2}, 3, {"mrk": 5, "mprime_rk": 5}),
+            ("thm_f", {"alpha": 4}, 1, {"brk": 4, "bprime_rk": 4}),
+        ]
+        for name, params, k, expected in rows:
+            g, dm = family(name, **params)
+            assert move_counts(g, dm, k).defined() == expected, (name, params, k)
+
     def test_c4_counts_equal_dimension(self):
         g, dm = family("cycle", n=4)
         counts = move_counts(g, dm, 1)
@@ -147,13 +168,22 @@ class TestMoveCounts:
 
     def test_matches_naive_oracle_sampled(self):
         rng = random.Random(11)
+        cases = []
         for _ in range(25):
             g = random_connected_graph(rng.randint(2, 6), rng.uniform(0.3, 0.8), rng)
             dm = all_pairs_distances(g)
-            k = rng.randint(1, max(1, dm.diameter - 1))
+            cases.append((g, dm, rng.randint(1, max(1, dm.diameter - 1))))
+        # the draws above give only M and N; these add B, so both caps run in both games
+        for k in (1, 2):
+            cases.append((*family("star", beta=4), k))
+        cases.append((*family("multipartite", parts=(3, 3)), 1))
+        symbols = set()
+        for g, dm, k in cases:
             solver = GameSolver(g, dm, k)
+            symbols.add(solver.outcome().symbol)
             assert solver.winner_move_count(True) == naive_winner_count(dm, k, True)
             assert solver.winner_move_count(False) == naive_winner_count(dm, k, False)
+        assert symbols == {OutcomeSymbol.B, OutcomeSymbol.N, OutcomeSymbol.M}
 
 
 class TestJumpReport:
@@ -179,6 +209,19 @@ class TestJumpReport:
         assert len(report.outcomes) == 1
         assert report.outcome_at(1).symbol is OutcomeSymbol.M
         assert report.jumps == ()
+
+    def test_transitions_breaking_the_jump_theorem_raise(self):
+        def level(symbol):
+            m_winner = Player.BREAKER if symbol is OutcomeSymbol.B else Player.MAKER
+            b_winner = Player.MAKER if symbol is OutcomeSymbol.M else Player.BREAKER
+            return GameOutcome(symbol, m_winner, b_winner)
+
+        B, N, M = OutcomeSymbol.B, OutcomeSymbol.N, OutcomeSymbol.M
+        for symbols in ([M, N], [B, M, N], [N, N, B, M]):
+            with pytest.raises(InvariantError):
+                JumpReport.from_outcomes((k, level(s)) for k, s in enumerate(symbols, start=1))
+        report = JumpReport.from_outcomes((k, level(s)) for k, s in enumerate([B, N, M], start=1))
+        assert report.jumps == ((2, B, N), (3, N, M))
 
     def test_diameter_one_single_entry(self):
         g, dm = family("complete", n=5)
@@ -242,26 +285,6 @@ class TestDeterminismAndSymmetry:
                 == identity.winner_move_count(True)
                 == reverse.winner_move_count(True)
             )
-
-    def test_symmetry_reduction_matches_plain_search(self):
-        for n in (5, 6, 7, 8):
-            gg = gen_family(FamilySpec.make("cycle", n=n))
-            dm = all_pairs_distances(gg.graph)
-            for k in (1, 2):
-                plain = GameSolver(gg.graph, dm, k)
-                reduced = GameSolver(
-                    gg.graph, dm, k,
-                    automorphisms=gg.automorphism_generators, use_symmetry=True,
-                )
-                assert plain.outcome() == reduced.outcome()
-                assert plain.winner_move_count(True) == reduced.winner_move_count(True)
-                assert reduced.stats.nodes < plain.stats.nodes
-
-    def test_symmetry_group_closure_size(self):
-        gg = gen_family(FamilySpec.make("cycle", n=6))
-        dm = all_pairs_distances(gg.graph)
-        solver = GameSolver(gg.graph, dm, 1, automorphisms=gg.automorphism_generators, use_symmetry=True)
-        assert len(solver._group) == 12  # dihedral group of the hexagon
 
     def test_repeat_solves_identical(self):
         g, dm = family("thm_e", alpha=3)
