@@ -5,7 +5,7 @@ stdout with stable field names; timing and search statistics are informative
 and excluded from determinism guarantees.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage or
-parse error, 3 size-cap refusal.
+parse error, 3 size-cap refusal, 4 internal invariant failure (a solver bug).
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ import time
 from pathlib import Path
 
 from . import families, game, graphio, resolve
-from .errors import (
-    CycleTooSmallError,
-    FamilyParameterError,
-    GraphParseError,
-    MBResolveError,
-    NotCoveredError,
-    PairsOverlapError,
-    SizeCapError,
-)
+from .errors import FamilyParameterError, InvariantError, MBResolveError, SizeCapError
 from .graph import Graph, all_pairs_distances, twin_partition
 
 ENV_MAX_N = "MBRESOLVE_MAX_N"
@@ -356,11 +348,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GraphParseError, FamilyParameterError, NotCoveredError,
-            PairsOverlapError, CycleTooSmallError, MBResolveError) as exc:
+    except MBResolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,6 +17,7 @@ import networkx as nx
 from .errors import (
     DisconnectedError,
     FamilyParameterError,
+    InvariantError,
     NotATreeError,
     NotCoveredError,
     TreeHypothesisError,
@@ -245,9 +246,12 @@ def _check_fig1_structure(g: Graph, alpha: int) -> None:
     y, z = 6 * alpha, 6 * alpha + 1
     for i in range(alpha):
         l2, s2, x = 6 * i + 2, 6 * i + 4, 6 * i + 5
-        assert pair_resolver_set(dm, 1, l2, s2) == {l2, s2, x}
-        assert pair_resolver_set(dm, 2, l2, s2) == {l2, s2, x, y}
-        assert pair_resolver_set(dm, 3, l2, s2) >= {l2, s2, x, y, z}
+        if not (
+            pair_resolver_set(dm, 1, l2, s2) == {l2, s2, x}
+            and pair_resolver_set(dm, 2, l2, s2) == {l2, s2, x, y}
+            and pair_resolver_set(dm, 3, l2, s2) >= {l2, s2, x, y, z}
+        ):
+            raise InvariantError(f"fig1(alpha={alpha}) branch {i + 1} has the wrong pair resolvers")
 
 
 # -- outcome predictors --------------------------------------------------------

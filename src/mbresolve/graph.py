@@ -157,10 +157,6 @@ class TwinPartition:
     def classes_of_size(self, minimum: int) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c in self.classes if len(c) >= minimum)
 
-    def dimension_lower_bound(self) -> int:
-        """Every resolving set misses at most one vertex per class."""
-        return sum(len(c) - 1 for c in self.classes)
-
 
 def are_twins(g: Graph, u: int, w: int) -> bool:
     """True iff N(u)-{w} = N(w)-{u}."""
@@ -168,36 +164,18 @@ def are_twins(g: Graph, u: int, w: int) -> bool:
 
 
 def twin_partition(g: Graph) -> TwinPartition:
-    """Group vertices by the twin equivalence relation."""
-    parent = list(range(g.n))
+    """Group vertices by the twin equivalence relation.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if are_twins(g, u, w):
-                ru, rw = find(u), find(w)
-                if ru != rw:
-                    parent[rw] = ru
-
-    groups: dict[int, list[int]] = {}
+    Nonadjacent twins share an open neighbourhood and adjacent twins a closed
+    one; no vertex has a twin of each kind, so the nontrivial groups of the
+    two kinds are disjoint.
+    """
+    groups: dict[tuple[TwinClassKind, frozenset[int]], list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    classes = tuple(sorted(tuple(sorted(c)) for c in groups.values()))
-
-    kinds = []
-    for cls in classes:
-        if len(cls) == 1:
-            kinds.append(TwinClassKind.SINGLETON)
-        elif all(b in g.adjacency[a] for i, a in enumerate(cls) for b in cls[i + 1:]):
-            kinds.append(TwinClassKind.CLIQUE)
-        else:
-            # the twin relation forces each class to induce a clique or an
-            # independent set, so "not all adjacent" means "none adjacent"
-            assert not any(b in g.adjacency[a] for i, a in enumerate(cls) for b in cls[i + 1:])
-            kinds.append(TwinClassKind.INDEPENDENT)
-    return TwinPartition(classes=classes, kinds=tuple(kinds))
+        groups.setdefault((TwinClassKind.INDEPENDENT, g.adjacency[v]), []).append(v)
+        groups.setdefault((TwinClassKind.CLIQUE, g.adjacency[v] | {v}), []).append(v)
+    kind_of = {tuple(c): kind for (kind, _), c in groups.items() if len(c) > 1}
+    paired = {v for c in kind_of for v in c}
+    kind_of.update({(v,): TwinClassKind.SINGLETON for v in range(g.n) if v not in paired})
+    classes = tuple(sorted(kind_of))
+    return TwinPartition(classes=classes, kinds=tuple(kind_of[c] for c in classes))

@@ -24,6 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     CycleTooSmallError,
     EmptyLandmarkSetError,
+    InvariantError,
     PairsOverlapError,
     SameVertexError,
     SizeCapError,
@@ -176,44 +177,27 @@ def metric_dimension_k(dm: DistanceMatrix, k: int, *, size_cap: int | None = Non
         return DimResult(0, ())
     # greedy packing of pairwise-disjoint masks lower-bounds the hitting
     # number; the twin bound (all but one vertex per twin class) is sharper
-    # for classes of three or more
+    # for classes of three or more.  The 2-masks are exactly the twin pairs,
+    # so each one's high bit marks a twin that is not the least of its class.
     packing = 0
     packed = 0
+    twins_above_least = 0
     for m in masks:
         if not m & packed:
             packing += 1
             packed |= m
-    lower = max(packing, _twin_lower_bound(dm))
+        if m.bit_count() == 2:
+            twins_above_least |= m & (m - 1)
+    lower = max(packing, twins_above_least.bit_count())
     for size in range(lower, dm.n):
         if _hitting_exists(masks, size):
             witness = _lex_min_hitting(masks, dm.n, size)
-            assert witness is not None
-            return DimResult(size, witness)
-    # every (n-1)-subset resolves, so the loop always returns
-    raise AssertionError("unreachable: V minus one vertex always resolves")
-
-
-def _twin_lower_bound(dm: DistanceMatrix) -> int:
-    """Sum of (size - 1) over twin classes, read off the distance matrix."""
-    n = dm.n
-    assigned = [False] * n
-    bound = 0
-    for u in range(n):
-        if assigned[u]:
-            continue
-        size = 1
-        for w in range(u + 1, n):
-            if assigned[w]:
-                continue
-            if all(
-                (dm.dist[u][z] == 1) == (dm.dist[w][z] == 1)
-                for z in range(n)
-                if z != u and z != w
-            ):
-                assigned[w] = True
-                size += 1
-        bound += size - 1
-    return bound
+            if witness is not None:
+                return DimResult(size, witness)
+            break
+    # every (n-1)-subset resolves, and the scan finds any hitting set the
+    # branch-and-bound proved to exist
+    raise InvariantError(f"no resolving set found below size {dm.n} at k={k}")
 
 
 def _hitting_exists(masks: Sequence[int], budget: int, hit: int = 0) -> bool:

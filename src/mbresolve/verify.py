@@ -26,6 +26,7 @@ from .families import (
     gen_family,
     predict_outcome,
     predict_tree_outcome,
+    predicted_counts,
     random_connected_graph,
 )
 from .game import (
@@ -163,16 +164,16 @@ def _family_pattern(ctx: _Context, spec: FamilySpec, expected_desc: str) -> tupl
 @_check("petersen.outcome-and-counts")
 def _petersen(ctx: _Context):
     expected = "outcome M at k=1 and k=2; winner counts 3 and 3 in both games"
-    g = gen_family(FamilySpec.make("petersen")).graph
+    spec = FamilySpec.make("petersen")
+    g = gen_family(spec).graph
     dm = all_pairs_distances(g)
     out1 = ctx.outcome(g, dm, 1)
     out2 = ctx.outcome(g, dm, 2)
-    solver = ctx.solver(g, dm, 1)
-    counts = solver.move_counts()
+    counts = ctx.solver(g, dm, 1).move_counts().defined()
     actual = (f"k=1:{out1.symbol.letter} k=2:{out2.symbol.letter} "
-              f"mrk={counts.mrk} mprime_rk={counts.mprime_rk}")
+              + " ".join(f"{name}={value}" for name, value in counts.items()))
     ok = (out1.symbol is OutcomeSymbol.M and out2.symbol is OutcomeSymbol.M
-          and counts.mrk == 3 and counts.mprime_rk == 3)
+          and counts == predicted_counts(spec, 1))
     return expected, actual, ok
 
 
@@ -217,18 +218,11 @@ def _multipartite_counts(ctx: _Context):
         dm = all_pairs_distances(g)
         solver = ctx.solver(g, dm, 1)
         out = solver.outcome()
-        counts = solver.move_counts(out)
+        counts = solver.move_counts(out).defined()
         dim = metric_dimension_k(dm, 1, size_cap=ctx.size_cap).value
         count += 1
-        if out.symbol is OutcomeSymbol.B:
-            if (counts.brk, counts.bprime_rk) != (2, 2):
-                bad.append((parts, counts.defined()))
-        elif out.symbol is OutcomeSymbol.N:
-            if (counts.nrk, counts.nprime_rk) != (dim, 2):
-                bad.append((parts, counts.defined()))
-        else:
-            if (counts.mrk, counts.mprime_rk) != (dim, dim):
-                bad.append((parts, counts.defined()))
+        if counts != predicted_counts(spec, 1, dim_value=dim):
+            bad.append((parts, counts))
     actual = f"{count} part profiles checked; mismatches: {bad if bad else 'none'}"
     return expected, actual, not bad
 

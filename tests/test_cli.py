@@ -2,6 +2,8 @@ import json
 
 from mbresolve import graphio
 from mbresolve.cli import main
+from mbresolve.errors import InvariantError
+from mbresolve.game import GameSolver
 
 
 def run(capsys, *argv):
@@ -82,6 +84,13 @@ class TestSolve:
         assert code == 0
         assert report["graph"]["sha256"]
         assert report["per_k"][0]["outcome"]["symbol"] == "M"
+
+    def test_invariant_failure_exit_four(self, monkeypatch):
+        def broken(self):
+            raise InvariantError("outcome fell")
+
+        monkeypatch.setattr(GameSolver, "outcome", broken)
+        assert main(["solve", "--family", "cycle", "--n", "4", "-k", "1"]) == 4
 
     def test_size_cap_exit_code(self, capsys):
         code, _ = run(capsys, "solve", "--family", "complete", "--n", "20", "-k", "1")

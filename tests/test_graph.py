@@ -157,7 +157,3 @@ class TestTwinPartition:
                 perm = list(range(g.n))
                 perm[u], perm[w] = w, u
                 assert g.relabel(tuple(perm)).edges == g.edges
-
-    def test_dimension_lower_bound(self):
-        g = gen_family(FamilySpec.make("star", beta=4)).graph
-        assert twin_partition(g).dimension_lower_bound() == 3

@@ -1,8 +1,10 @@
 import pytest
 
+from mbresolve import resolve
 from mbresolve.errors import (
     CycleTooSmallError,
     EmptyLandmarkSetError,
+    InvariantError,
     PairsOverlapError,
     SameVertexError,
     SizeCapError,
@@ -190,9 +192,16 @@ class TestMetricDimension:
             ("thm_a", {"alpha": 3}, 1),
             ("thm_b", {"alpha": 4}, 2),
             ("wheel", {"n": 5}, 1),
+            ("star", {"beta": 4}, 1),
         ]:
             _, dm = family_dm(family, **kw)
             assert metric_dimension_k(dm, k) == brute_force_dim(dm, k)
+
+    def test_missed_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(resolve, "_lex_min_hitting", lambda masks, n, size: None)
+        _, dm = family_dm("thm_d")
+        with pytest.raises(InvariantError):
+            metric_dimension_k(dm, 1)
 
     def test_size_cap(self):
         _, dm = family_dm("path", n=6)
