@@ -3,7 +3,6 @@
 from .errors import MBResolveError
 from .families import (
     FamilySpec,
-    GeneratedGraph,
     TreeProfile,
     all_free_trees,
     classify_tree,

@@ -4,8 +4,14 @@ Subcommands: gen, solve, dim, check, verify-paper.  Reports are JSON on
 stdout with stable field names; timing and search statistics are informative
 and excluded from determinism guarantees.
 
-Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage or
-parse error, 3 size-cap refusal, 4 internal invariant failure (a solver bug).
+Exit codes: 0 success / all checks passed, 1 verification failure (a
+verify-paper check that fails or raises), 2 usage or parse error, 3 size-cap
+refusal, 4 internal invariant failure (a solver bug).
+
+Limits: solve takes --max-n (MBRESOLVE_MAX_N) and --tt-entries
+(MBRESOLVE_TT_ENTRIES), dim takes --max-n; a flag wins over its variable, and
+with neither the library default applies.  verify-paper runs fixed instances
+and takes no limits.
 """
 
 from __future__ import annotations
@@ -26,7 +32,10 @@ ENV_MAX_N = "MBRESOLVE_MAX_N"
 ENV_TT_ENTRIES = "MBRESOLVE_TT_ENTRIES"
 
 
-def _env_int(name: str) -> int | None:
+def _flag_or_env(flag: int | None, name: str) -> int | None:
+    """The flag if given, else the environment variable; None leaves the library default."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
         return None
@@ -34,17 +43,6 @@ def _env_int(name: str) -> int | None:
         return int(raw)
     except ValueError:
         raise MBResolveError(f"environment variable {name} must be an integer, got {raw!r}") from None
-
-
-def _effective_limits(args) -> tuple[int, int]:
-    """(size_cap, tt_entries); flags win over environment."""
-    size_cap = args.max_n if getattr(args, "max_n", None) is not None else _env_int(ENV_MAX_N)
-    if size_cap is None:
-        size_cap = resolve.DEFAULT_SIZE_CAP
-    tt = args.tt_entries if getattr(args, "tt_entries", None) is not None else _env_int(ENV_TT_ENTRIES)
-    if tt is None:
-        tt = game.DEFAULT_TT_LIMIT
-    return size_cap, tt
 
 
 def _parse_params(args) -> dict:
@@ -67,9 +65,8 @@ def _load_source(args) -> tuple[Graph, dict]:
     """(graph, descriptor) from --family or --file."""
     if getattr(args, "family", None):
         spec = families.FamilySpec.make(args.family, **_parse_params(args))
-        gg = families.gen_family(spec)
-        descriptor = {"family": spec.family, "params": dict(spec.params), "n": gg.graph.n}
-        return gg.graph, descriptor
+        g = families.gen_family(spec)
+        return g, {"family": spec.family, "params": dict(spec.params), "n": g.n}
     if getattr(args, "file", None):
         text = Path(args.file).read_text(encoding="utf-8")
         g = graphio.loads(text)
@@ -119,35 +116,30 @@ def _outcome_dict(out: game.GameOutcome) -> dict:
 
 def cmd_gen(args) -> int:
     spec = families.FamilySpec.make(args.family, **_parse_params(args))
-    gg = families.gen_family(spec)
+    g = families.gen_family(spec)
     header = [
         f"family: {spec.describe()}",
         "labels name the construction roles of the documented vertex ids",
     ]
     content = (
-        graphio.dumps_json(gg.graph)
+        graphio.dumps_json(g)
         if args.format == "json"
-        else graphio.dumps_text(gg.graph, header_comments=header)
+        else graphio.dumps_text(g, header_comments=header)
     )
     if args.out:
         Path(args.out).write_text(content, encoding="utf-8")
-        print(f"wrote {spec.describe()} (n={gg.graph.n}, edges={gg.graph.edge_count}) to {args.out}")
+        print(f"wrote {spec.describe()} (n={g.n}, edges={g.edge_count}) to {args.out}")
     else:
         sys.stdout.write(content)
     return 0
 
 
 def cmd_solve(args) -> int:
-    size_cap, tt = _effective_limits(args)
+    size_cap = _flag_or_env(args.max_n, ENV_MAX_N)
+    tt = _flag_or_env(args.tt_entries, ENV_TT_ENTRIES)
     g, descriptor = _load_source(args)
-    if args.force_size:
-        size_cap = max(size_cap, g.n)
     dm = all_pairs_distances(g)
-    ks: list[int]
-    if args.k == "all":
-        ks = list(range(1, max(2, dm.diameter)))
-    else:
-        ks = [int(args.k)]
+    ks = list(range(1, dm.stable_level + 1)) if args.k == "all" else [int(args.k)]
     per_k = []
     outcomes = []
     started = time.perf_counter()
@@ -188,13 +180,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    size_cap, _ = _effective_limits(args)
     g, descriptor = _load_source(args)
-    if args.force_size:
-        size_cap = max(size_cap, g.n)
     dm = all_pairs_distances(g)
     t0 = time.perf_counter()
-    result = resolve.metric_dimension_k(dm, int(args.k), size_cap=size_cap)
+    result = resolve.metric_dimension_k(dm, int(args.k), size_cap=_flag_or_env(args.max_n, ENV_MAX_N))
     _emit({
         "graph": descriptor,
         "k": int(args.k),
@@ -249,12 +238,9 @@ def _require_k(args) -> int:
 def cmd_verify_paper(args) -> int:
     from . import verify
 
-    size_cap, tt = _effective_limits(args)
     only = args.only.split(",") if args.only else None
     suite = verify.run_suite(
         level=args.level,
-        size_cap=size_cap,
-        tt_limit=tt,
         only=only,
         progress=sys.stderr if not args.quiet else None,
     )
@@ -281,11 +267,8 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", help="read the graph from a text or JSON file")
 
 
-def _add_limit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-n", type=int, default=None, help=f"size cap override (env {ENV_MAX_N})")
-    p.add_argument("--force-size", action="store_true", help="lift the size cap for this graph")
-    p.add_argument("--tt-entries", type=int, default=None,
-                   help=f"transposition table entry budget (env {ENV_TT_ENTRIES})")
+def _add_max_n_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", type=int, help=f"size cap override (env {ENV_MAX_N})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,13 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", choices=["m", "b", "both"], default="both")
     p.add_argument("--counts", action="store_true", help="include optimal move counts")
     p.add_argument("--certificates", action="store_true", help="include structural certificates")
-    _add_limit_flags(p)
+    _add_max_n_flag(p)
+    p.add_argument("--tt-entries", type=int, help=f"transposition table entry budget (env {ENV_TT_ENTRIES})")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("dim", help="exact distance-k metric dimension with a witness")
     _add_source_flags(p)
     p.add_argument("-k", "--k", required=True, type=int)
-    _add_limit_flags(p)
+    _add_max_n_flag(p)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("check", help="resolving / pair-system / twin / gap checks")
@@ -334,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the machine-readable results here")
     p.add_argument("--only", help="comma-separated check id prefixes to run")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    _add_limit_flags(p)
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

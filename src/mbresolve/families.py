@@ -53,12 +53,6 @@ class FamilySpec:
         return f"{self.family}({inner})"
 
 
-@dataclass(frozen=True)
-class GeneratedGraph:
-    graph: Graph
-    spec: FamilySpec
-
-
 def _int_param(spec: FamilySpec, name: str, minimum: int) -> int:
     value = spec.get(name)
     if not isinstance(value, int) or value < minimum:
@@ -69,33 +63,29 @@ def _int_param(spec: FamilySpec, name: str, minimum: int) -> int:
 # -- generators ---------------------------------------------------------------
 
 
-def _gen_path(spec: FamilySpec) -> GeneratedGraph:
+def _gen_path(spec: FamilySpec) -> Graph:
     n = _int_param(spec, "n", 1)
-    g = build_graph(n, [(i, i + 1) for i in range(n - 1)], labels=[f"v{i + 1}" for i in range(n)])
-    return GeneratedGraph(g, spec)
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)], labels=[f"v{i + 1}" for i in range(n)])
 
 
-def _gen_cycle(spec: FamilySpec) -> GeneratedGraph:
+def _gen_cycle(spec: FamilySpec) -> Graph:
     n = _int_param(spec, "n", 3)
-    g = build_graph(n, [(i, (i + 1) % n) for i in range(n)], labels=[f"u{i + 1}" for i in range(n)])
-    return GeneratedGraph(g, spec)
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)], labels=[f"u{i + 1}" for i in range(n)])
 
 
-def _gen_complete(spec: FamilySpec) -> GeneratedGraph:
+def _gen_complete(spec: FamilySpec) -> Graph:
     n = _int_param(spec, "n", 1)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    g = build_graph(n, edges, labels=[f"v{i + 1}" for i in range(n)])
-    return GeneratedGraph(g, spec)
+    return build_graph(n, edges, labels=[f"v{i + 1}" for i in range(n)])
 
 
-def _gen_star(spec: FamilySpec) -> GeneratedGraph:
+def _gen_star(spec: FamilySpec) -> Graph:
     beta = _int_param(spec, "beta", 1)
-    g = build_graph(
+    return build_graph(
         beta + 1,
         [(0, i) for i in range(1, beta + 1)],
         labels=["c"] + [f"l{i}" for i in range(1, beta + 1)],
     )
-    return GeneratedGraph(g, spec)
 
 
 def _multipartite_parts(spec: FamilySpec) -> tuple[int, ...]:
@@ -109,7 +99,7 @@ def _multipartite_parts(spec: FamilySpec) -> tuple[int, ...]:
     return parts
 
 
-def _gen_multipartite(spec: FamilySpec) -> GeneratedGraph:
+def _gen_multipartite(spec: FamilySpec) -> Graph:
     parts = _multipartite_parts(spec)
     offsets = [0]
     for a in parts:
@@ -122,27 +112,26 @@ def _gen_multipartite(spec: FamilySpec) -> GeneratedGraph:
                 for v in range(offsets[j], offsets[j + 1]):
                     edges.append((u, v))
     labels = [f"p{i + 1}_{j + 1}" for i, a in enumerate(parts) for j in range(a)]
-    return GeneratedGraph(build_graph(n, edges, labels=labels), spec)
+    return build_graph(n, edges, labels=labels)
 
 
-def _gen_wheel(spec: FamilySpec) -> GeneratedGraph:
+def _gen_wheel(spec: FamilySpec) -> Graph:
     n = _int_param(spec, "n", 3)
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)]
-    g = build_graph(n + 1, edges, labels=[f"u{i + 1}" for i in range(n)] + ["hub"])
-    return GeneratedGraph(g, spec)
+    return build_graph(n + 1, edges, labels=[f"u{i + 1}" for i in range(n)] + ["hub"])
 
 
-def _gen_petersen(spec: FamilySpec) -> GeneratedGraph:
+def _gen_petersen(spec: FamilySpec) -> Graph:
     edges = []
     for i in range(5):
         edges.append((i, (i + 1) % 5))          # outer 5-cycle
         edges.append((5 + i, 5 + (i + 2) % 5))  # inner pentagram
         edges.append((i, 5 + i))                # spokes
     labels = [f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)]
-    return GeneratedGraph(build_graph(10, edges, labels=labels), spec)
+    return build_graph(10, edges, labels=labels)
 
 
-def _gen_thm_a(spec: FamilySpec) -> GeneratedGraph:
+def _gen_thm_a(spec: FamilySpec) -> Graph:
     # star on alpha leaves with all but two edges subdivided once:
     # hub 0; subdivision vertices s_i = i (i in 1..alpha-2) carrying leaf
     # l_i = alpha-2+i; leaves l_{alpha-1}, l_alpha hang on the hub directly
@@ -157,10 +146,10 @@ def _gen_thm_a(spec: FamilySpec) -> GeneratedGraph:
         labels.append(f"l{i}")
     for leaf in (2 * alpha - 3, 2 * alpha - 2):
         edges.append((0, leaf))
-    return GeneratedGraph(build_graph(2 * alpha - 1, edges, labels=labels), spec)
+    return build_graph(2 * alpha - 1, edges, labels=labels)
 
 
-def _gen_thm_b(spec: FamilySpec) -> GeneratedGraph:
+def _gen_thm_b(spec: FamilySpec) -> Graph:
     # star on alpha leaves with all but three edges subdivided once
     alpha = _int_param(spec, "alpha", 4)
     edges = []
@@ -173,10 +162,10 @@ def _gen_thm_b(spec: FamilySpec) -> GeneratedGraph:
         labels.append(f"l{i}")
     for leaf in (2 * alpha - 5, 2 * alpha - 4, 2 * alpha - 3):
         edges.append((0, leaf))
-    return GeneratedGraph(build_graph(2 * alpha - 2, edges, labels=labels), spec)
+    return build_graph(2 * alpha - 2, edges, labels=labels)
 
 
-def _gen_thm_d(spec: FamilySpec) -> GeneratedGraph:
+def _gen_thm_d(spec: FamilySpec) -> Graph:
     # 3-vertex spine, two leaves per spine vertex
     edges = [(0, 1), (1, 2)]
     labels = ["v1", "v2", "v3"]
@@ -184,10 +173,10 @@ def _gen_thm_d(spec: FamilySpec) -> GeneratedGraph:
         a, b = 3 + 2 * i, 4 + 2 * i
         edges += [(i, a), (i, b)]
         labels += [f"l{i + 1}", f"l{i + 1}p"]
-    return GeneratedGraph(build_graph(9, edges, labels=labels), spec)
+    return build_graph(9, edges, labels=labels)
 
 
-def _gen_thm_e(spec: FamilySpec) -> GeneratedGraph:
+def _gen_thm_e(spec: FamilySpec) -> Graph:
     # alpha-vertex spine; two leaves per spine vertex, three on the last
     alpha = _int_param(spec, "alpha", 3)
     edges = [(i, i + 1) for i in range(alpha - 1)]
@@ -199,10 +188,10 @@ def _gen_thm_e(spec: FamilySpec) -> GeneratedGraph:
         nxt += 2
     edges += [(alpha - 1, nxt), (alpha - 1, nxt + 1), (alpha - 1, nxt + 2)]
     labels += [f"l{alpha}a", f"l{alpha}b", f"l{alpha}c"]
-    return GeneratedGraph(build_graph(3 * alpha + 1, edges, labels=labels), spec)
+    return build_graph(3 * alpha + 1, edges, labels=labels)
 
 
-def _gen_thm_f(spec: FamilySpec) -> GeneratedGraph:
+def _gen_thm_f(spec: FamilySpec) -> Graph:
     # alpha-vertex spine with exactly two leaves per spine vertex
     alpha = _int_param(spec, "alpha", 4)
     edges = [(i, i + 1) for i in range(alpha - 1)]
@@ -212,10 +201,10 @@ def _gen_thm_f(spec: FamilySpec) -> GeneratedGraph:
         edges += [(i, nxt), (i, nxt + 1)]
         labels += [f"l{i + 1}a", f"l{i + 1}b"]
         nxt += 2
-    return GeneratedGraph(build_graph(3 * alpha, edges, labels=labels), spec)
+    return build_graph(3 * alpha, edges, labels=labels)
 
 
-def _gen_fig1(spec: FamilySpec) -> GeneratedGraph:
+def _gen_fig1(spec: FamilySpec) -> Graph:
     # alpha branches on a spine; branch i carries paired leaves l_i,l_i',
     # paired supports s_i,s_i' and a hub x_i joining both supports; every hub
     # meets a shared vertex y whose pendant is z
@@ -235,7 +224,7 @@ def _gen_fig1(spec: FamilySpec) -> GeneratedGraph:
     edges.append((y, z))
     g = build_graph(6 * alpha + 2, edges, labels=labels)
     _check_fig1_structure(g, alpha)
-    return GeneratedGraph(g, spec)
+    return g
 
 
 def _check_fig1_structure(g: Graph, alpha: int) -> None:
@@ -335,7 +324,7 @@ PREDICTORS: dict[str, Callable[[FamilySpec, int], frozenset[OutcomeSymbol]]] = {
     "fig1": lambda spec, k: _steps(k, B, M, at_2=N),
 }
 
-GENERATORS: dict[str, Callable[[FamilySpec], GeneratedGraph]] = {
+GENERATORS: dict[str, Callable[[FamilySpec], Graph]] = {
     "path": _gen_path,
     "cycle": _gen_cycle,
     "complete": _gen_complete,
@@ -372,7 +361,7 @@ def family_names() -> tuple[str, ...]:
     return tuple(sorted(GENERATORS))
 
 
-def gen_family(spec: FamilySpec) -> GeneratedGraph:
+def gen_family(spec: FamilySpec) -> Graph:
     gen = GENERATORS.get(spec.family)
     if gen is None:
         raise FamilyParameterError(f"unknown family {spec.family!r}; known: {', '.join(family_names())}")

@@ -360,16 +360,15 @@ def move_counts(graph: Graph, dm: DistanceMatrix, k: int, out: GameOutcome | Non
     return GameSolver(graph, dm, k, **solver_kwargs).move_counts(out)
 
 
-def jump_report(graph: Graph, dm: DistanceMatrix, **solver_kwargs) -> JumpReport:
+def jump_report(graph: Graph, dm: DistanceMatrix) -> JumpReport:
     """Outcomes for every truncation level up to stabilization, with transitions.
 
-    Truncation levels run 1..diameter-1; diameters 1 and 2 yield the single
-    trivial level k=1.  Nothing is reused across levels: truncation changes
-    the resolving predicate itself.
+    Truncation levels run 1..dm.stable_level; diameters 1 and 2 yield the
+    single trivial level k=1.  Nothing is reused across levels: truncation
+    changes the resolving predicate itself.
     """
-    top = max(1, dm.diameter - 1)
     return JumpReport.from_outcomes(
-        (k, GameSolver(graph, dm, k, **solver_kwargs).outcome()) for k in range(1, top + 1)
+        (k, GameSolver(graph, dm, k).outcome()) for k in range(1, dm.stable_level + 1)
     )
 
 

@@ -40,17 +40,6 @@ class Graph:
         # connectivity is a construction invariant
         return len(self.edges) == self.n - 1
 
-    def relabel(self, perm: tuple[int, ...]) -> "Graph":
-        """Graph with vertex i renamed perm[i] (used by automorphism checks)."""
-        edges = [(perm[u], perm[v]) for u, v in self.edges]
-        labels = None
-        if self.labels is not None:
-            new = [""] * self.n
-            for i, lab in enumerate(self.labels):
-                new[perm[i]] = lab
-            labels = tuple(new)
-        return build_graph(self.n, edges, labels=labels)
-
 
 def build_graph(n: int, edges, labels=None) -> Graph:
     """Validate and build a Graph; duplicate edges are dropped with a log line."""
@@ -111,6 +100,16 @@ class DistanceMatrix:
     def __getitem__(self, uv: tuple[int, int]) -> int:
         u, v = uv
         return self.dist[u][v]
+
+    @property
+    def stable_level(self) -> int:
+        """Least level k from which truncation changes nothing: max(1, diameter - 1).
+
+        At k = diameter - 1 the cap k + 1 already equals the diameter, so
+        every distance stays distinct and resolving sets, dimensions and game
+        outcomes no longer depend on k.
+        """
+        return max(1, self.diameter - 1)
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:

@@ -277,7 +277,7 @@ def _transversal_masks(pairs: Sequence[tuple[int, int]]):
         yield s
 
 
-def check_pair_system(dm: DistanceMatrix, k: int, pairs, *, max_pairs: int = MAX_PAIR_SYSTEM) -> PairSystemCheck:
+def check_pair_system(dm: DistanceMatrix, k: int, pairs) -> PairSystemCheck:
     """Classify a pair system by exhausting its transversals.
 
     pairing: every transversal resolves.  quasi-pairing: no transversal
@@ -285,8 +285,8 @@ def check_pair_system(dm: DistanceMatrix, k: int, pairs, *, max_pairs: int = MAX
     witnesses are returned, ascending).  neither: anything else.
     """
     ps = pairs if isinstance(pairs, PairSystem) else PairSystem.of(pairs)
-    if len(ps.pairs) > max_pairs:
-        raise TooManyPairsError(f"{len(ps.pairs)} pairs exceed the cap of {max_pairs}")
+    if len(ps.pairs) > MAX_PAIR_SYSTEM:
+        raise TooManyPairsError(f"{len(ps.pairs)} pairs exceed the cap of {MAX_PAIR_SYSTEM}")
     if not ps.pairs:
         raise PairsOverlapError("pair system needs at least one pair")
     out_of_range = [v for v in ps.vertex_set if not 0 <= v < dm.n]

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from mbresolve import verify
+from mbresolve.errors import InvariantError
 from mbresolve.families import connected_graph_atlas
 from mbresolve.graph import all_pairs_distances
 from mbresolve.resolve import is_resolving
@@ -38,6 +39,21 @@ def test_verify_check(full_suite, check_id):
     ceiling = 1 if check_id.startswith("thm_d.") else 60
     assert result.seconds < ceiling, f"{result.seconds:.2f}s over the {ceiling}s ceiling"
     report(check_id, result.actual)
+
+
+def test_raising_check_fails_alone(monkeypatch):
+    def planted(ctx):
+        raise InvariantError("planted")
+
+    kept = [entry for entry in verify._REGISTRY if entry[0].startswith("thm_d.")]
+    monkeypatch.setattr(verify, "_REGISTRY", [kept[0], ("planted.raises", "quick", planted)] + kept[1:])
+    suite = verify.run_suite(level="quick")
+    assert [c.check_id for c in suite.checks] == [kept[0][0], "planted.raises"] + [e[0] for e in kept[1:]]
+    planted_result = suite.checks[1]
+    assert not planted_result.passed
+    assert planted_result.actual == "raised InvariantError: planted"
+    assert all(c.passed for c in suite.checks if c is not planted_result)
+    assert not suite.all_passed
 
 
 def test_criterion_9_oracle_equivalence():

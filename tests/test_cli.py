@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mbresolve import graphio
 from mbresolve.cli import main
 from mbresolve.errors import InvariantError
@@ -103,11 +105,6 @@ class TestSolve:
         code, _ = run(capsys, "solve", "--family", "cycle", "--n", "5", "-k", "1", "--max-n", "6")
         assert code == 0
 
-    def test_force_size_lifts_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("MBRESOLVE_MAX_N", "4")
-        code, _ = run(capsys, "solve", "--family", "cycle", "--n", "6", "-k", "1", "--force-size")
-        assert code == 0
-
     def test_report_determinism(self, capsys):
         args = ("solve", "--family", "thm_d", "-k", "all", "--counts")
         _, first = run_json(capsys, *args)
@@ -196,8 +193,47 @@ class TestVerifyPaper:
         assert code == 1
         assert "FAIL" in out
 
+    def test_raising_check_fails_alone_with_exit_one(self, capsys, monkeypatch):
+        import mbresolve.verify as verify
+
+        def broken(ctx):
+            raise InvariantError("planted")
+
+        kept = [entry for entry in verify._REGISTRY if entry[0].startswith("thm_d")]
+        monkeypatch.setattr(verify, "_REGISTRY", [("planted.raises", "quick", broken)] + kept)
+        code, out = run(capsys, "verify-paper", "--quiet")
+        assert code == 1
+        assert "FAIL  planted.raises" in out and "raised InvariantError: planted" in out
+        assert f"{len(kept)}/{len(kept) + 1} checks passed" in out
+
     def test_usage_error_exit_two(self, capsys):
         assert main(["verify-paper", "--level", "bogus"]) == 2
+
+
+class TestLimitFlags:
+    """Each limit flag exists only on the subcommands where it applies."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-paper", "--max-n", "4"],
+        ["verify-paper", "--tt-entries", "5"],
+        ["solve", "--family", "cycle", "--n", "5", "-k", "1", "--force-size"],
+        ["dim", "--family", "cycle", "--n", "5", "-k", "1", "--force-size"],
+        ["dim", "--family", "cycle", "--n", "5", "-k", "1", "--tt-entries", "5"],
+    ])
+    def test_flag_rejected(self, argv, capsys):
+        assert main(argv) == 2
+
+    def test_dim_max_n(self, capsys, monkeypatch):
+        code, _ = run(capsys, "dim", "--family", "cycle", "--n", "5", "-k", "1", "--max-n", "4")
+        assert code == 3
+        monkeypatch.setenv("MBRESOLVE_MAX_N", "4")
+        code, _ = run(capsys, "dim", "--family", "cycle", "--n", "5", "-k", "1")
+        assert code == 3
+
+    def test_bad_environment_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("MBRESOLVE_TT_ENTRIES", "many")
+        code, _ = run(capsys, "solve", "--family", "cycle", "--n", "5", "-k", "1")
+        assert code == 2
 
 
 class TestParseErrors:

@@ -28,23 +28,23 @@ B, N, M = OutcomeSymbol.B, OutcomeSymbol.N, OutcomeSymbol.M
 
 class TestGenerators:
     def test_cycle_edges(self):
-        g = gen_family(FamilySpec.make("cycle", n=4)).graph
+        g = gen_family(FamilySpec.make("cycle", n=4))
         assert g.edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_fig1_alpha2_shape(self):
-        g = gen_family(FamilySpec.make("fig1", alpha=2)).graph
+        g = gen_family(FamilySpec.make("fig1", alpha=2))
         assert (g.n, g.edge_count) == (14, 16)
         assert g.labels[0] == "v1" and g.labels[6] == "v2"
         assert g.labels[5] == "x1" and g.labels[11] == "x2"
         assert g.labels[-2:] == ("y", "z")
 
     def test_thm_d_nine_vertices(self):
-        g = gen_family(FamilySpec.make("thm_d")).graph
+        g = gen_family(FamilySpec.make("thm_d"))
         assert g.n == 9
         assert g.labels == ("v1", "v2", "v3", "l1", "l1p", "l2", "l2p", "l3", "l3p")
 
     def test_petersen_three_regular(self):
-        g = gen_family(FamilySpec.make("petersen")).graph
+        g = gen_family(FamilySpec.make("petersen"))
         assert g.n == 10 and g.edge_count == 15
         assert all(g.degree(v) == 3 for v in range(10))
 
@@ -66,8 +66,8 @@ class TestGenerators:
         ]
         assert {s.family for s in samples} == set(family_names())
         for spec in samples:
-            gg = gen_family(spec)
-            assert gg.graph.n == len(gg.graph.labels)
+            g = gen_family(spec)
+            assert g.n == len(g.labels)
 
     @pytest.mark.parametrize(
         "spec",
@@ -88,7 +88,7 @@ class TestGenerators:
             gen_family(spec)
 
     def test_wheel_hub_connected_to_rim(self):
-        g = gen_family(FamilySpec.make("wheel", n=6)).graph
+        g = gen_family(FamilySpec.make("wheel", n=6))
         assert g.neighbors(6) == frozenset(range(6))
 
 
@@ -157,7 +157,7 @@ class TestPredictors:
             FamilySpec.make("thm_f", alpha=4),
         ]
         for spec in specs:
-            g = gen_family(spec).graph
+            g = gen_family(spec)
             dm = all_pairs_distances(g)
             for k in range(1, max(1, dm.diameter - 1) + 1):
                 try:
@@ -180,13 +180,13 @@ class TestPredictors:
 
 class TestTreeClassification:
     def test_star3_single_triple_major(self):
-        g = gen_family(FamilySpec.make("star", beta=3)).graph
+        g = gen_family(FamilySpec.make("star", beta=3))
         tp = classify_tree(g)
         assert tp.m3 == (0,) and tp.m2 == () and tp.m4 == ()
         assert tp.eligible
 
     def test_thm_f_profile(self):
-        g = gen_family(FamilySpec.make("thm_f", alpha=4)).graph
+        g = gen_family(FamilySpec.make("thm_f", alpha=4))
         tp = classify_tree(g)
         assert tp.m2 == (0, 1, 2, 3)
         assert tp.m3 == () and tp.m4 == ()
@@ -194,14 +194,14 @@ class TestTreeClassification:
         assert tp.eligible
 
     def test_path_flagged(self):
-        g = gen_family(FamilySpec.make("path", n=5)).graph
+        g = gen_family(FamilySpec.make("path", n=5))
         tp = classify_tree(g)
         assert tp.is_path and not tp.eligible
         with pytest.raises(TreeHypothesisError):
             predict_tree_outcome(tp, 1)
 
     def test_degree_two_flagged(self):
-        g = gen_family(FamilySpec.make("thm_a", alpha=3)).graph
+        g = gen_family(FamilySpec.make("thm_a", alpha=3))
         tp = classify_tree(g)
         assert tp.has_degree_two_vertex and not tp.eligible
 
@@ -219,24 +219,24 @@ class TestTreeClassification:
         assert tp.has_zero_terminal_major and not tp.eligible
 
     def test_not_a_tree_rejected(self):
-        g = gen_family(FamilySpec.make("cycle", n=5)).graph
+        g = gen_family(FamilySpec.make("cycle", n=5))
         with pytest.raises(NotATreeError):
             classify_tree(g)
 
     def test_case_table(self):
-        g = gen_family(FamilySpec.make("star", beta=3)).graph
+        g = gen_family(FamilySpec.make("star", beta=3))
         tp = classify_tree(g)  # |M3|=1, M2 empty
         assert predict_tree_outcome(tp, 1) is N
         assert predict_tree_outcome(tp, 2) is N
-        g = gen_family(FamilySpec.make("thm_f", alpha=4)).graph
+        g = gen_family(FamilySpec.make("thm_f", alpha=4))
         tp = classify_tree(g)  # |M2|=4
         assert predict_tree_outcome(tp, 1) is B
         assert predict_tree_outcome(tp, 2) is M
-        g = gen_family(FamilySpec.make("thm_d")).graph
+        g = gen_family(FamilySpec.make("thm_d"))
         tp = classify_tree(g)  # |M2|=3
         assert predict_tree_outcome(tp, 1) is N
         assert predict_tree_outcome(tp, 2) is M
-        g = gen_family(FamilySpec.make("star", beta=4)).graph
+        g = gen_family(FamilySpec.make("star", beta=4))
         tp = classify_tree(g)  # |M4|=1
         assert predict_tree_outcome(tp, 1) is B
         assert predict_tree_outcome(tp, 7) is B

@@ -25,7 +25,7 @@ from oracles import naive_maker_wins, naive_outcome_symbol, naive_winner_count
 
 
 def family(name, **kw):
-    g = gen_family(FamilySpec.make(name, **kw)).graph
+    g = gen_family(FamilySpec.make(name, **kw))
     return g, all_pairs_distances(g)
 
 

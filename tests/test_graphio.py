@@ -7,8 +7,8 @@ from mbresolve.graph import build_graph
 
 
 def sample_graphs():
-    yield gen_family(FamilySpec.make("cycle", n=5)).graph
-    yield gen_family(FamilySpec.make("fig1", alpha=2)).graph
+    yield gen_family(FamilySpec.make("cycle", n=5))
+    yield gen_family(FamilySpec.make("fig1", alpha=2))
     yield build_graph(4, [(0, 1), (1, 2), (2, 3)])  # no labels
     yield build_graph(1, [])
 
@@ -24,14 +24,14 @@ class TestRoundTrip:
             assert back.labels == g.labels
 
     def test_file_round_trip(self, tmp_path):
-        g = gen_family(FamilySpec.make("thm_d")).graph
+        g = gen_family(FamilySpec.make("thm_d"))
         path = tmp_path / "t.graph"
         graphio.dump(g, path, header_comments=["demo"])
         back = graphio.load(path)
         assert (back.n, back.edges, back.labels) == (g.n, g.edges, g.labels)
 
     def test_autodetect_json(self, tmp_path):
-        g = gen_family(FamilySpec.make("star", beta=3)).graph
+        g = gen_family(FamilySpec.make("star", beta=3))
         path = tmp_path / "s.json"
         graphio.dump(g, path, fmt="json")
         assert graphio.load(path).edges == g.edges

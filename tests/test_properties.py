@@ -126,7 +126,7 @@ def test_gap_conditions_imply_resolving_cycles_up_to_15():
     rng = random.Random(77)
     confirmed = 0
     for n in range(5, 16):
-        g = gen_family(FamilySpec.make("cycle", n=n)).graph
+        g = gen_family(FamilySpec.make("cycle", n=n))
         dm = all_pairs_distances(g)
         for k in (1, 2, 3):
             if n < 2 * k + 3:

@@ -30,7 +30,7 @@ from oracles import brute_force_dim, direct_is_resolving
 
 
 def family_dm(family, **kw):
-    g = gen_family(FamilySpec.make(family, **kw)).graph
+    g = gen_family(FamilySpec.make(family, **kw))
     return g, all_pairs_distances(g)
 
 
@@ -248,9 +248,10 @@ class TestPairSystems:
             check_pair_system(dm, 1, [(0, 2), (2, 4)])
 
     def test_pair_cap(self):
-        g, dm = family_dm("path", n=9)
+        pairs = [(2 * i, 2 * i + 1) for i in range(resolve.MAX_PAIR_SYSTEM + 1)]
+        _, dm = family_dm("path", n=2 * len(pairs))
         with pytest.raises(TooManyPairsError):
-            check_pair_system(dm, 1, [(2 * i, 2 * i + 1) for i in range(4)], max_pairs=3)
+            check_pair_system(dm, 1, pairs)
 
     def test_search_finds_pairing_for_even_cycles(self):
         _, dm = family_dm("cycle", n=8)
