@@ -5,7 +5,8 @@ stdout with stable field names; timing and search statistics are informative
 and excluded from determinism guarantees.
 
 Exit codes: 0 success / all checks passed, 1 verification failure (a
-verify-paper check that fails or raises), 2 usage or parse error, 3 size-cap
+verify-paper check that fails or raises), 2 usage or parse error (also a
+verify-paper --only prefix that matches no check id of the level), 3 size-cap
 refusal, 4 internal invariant failure (a solver bug).
 
 Limits: solve takes --max-n (MBRESOLVE_MAX_N) and --tt-entries

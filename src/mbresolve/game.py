@@ -13,6 +13,26 @@ masks (claiming anything else helps neither side).  Move counts reuse the
 same search with a cap on the winner's claims: the winner's optimal count is
 the least cap c = 0, 1, 2, ... under which the winner still wins (iterative
 deepening), each capped run with a fresh memo.
+
+Each node is a Maker-Breaker hypergraph game in which Breaker builds (she
+wins by claiming every free vertex of an unhit mask) and Maker blocks.  Three
+exact reductions are always on; each leaves every node's value unchanged:
+
+- Erdős–Selfridge cutoff.  With P the sum of 2^-|free part| over unhit masks,
+  the blocker wins if P < 1 with Maker to move, or P < 1/2 with Breaker to
+  move (Erdős and Selfridge 1973), so Maker has won.  It says that Maker wins
+  eventually, not within a number of claims, so it is off when Maker's claims
+  are capped; a cap on Breaker only helps Maker, so it stays on there.
+- Threats.  An unhit mask with one free vertex is a threat: Breaker to move
+  claims it and wins, and Maker to move must claim it, because any other move
+  lets Breaker win at once.
+- Twin pruning.  Swapping two twins is an automorphism of the graph, so it
+  maps masks to masks; while both are unclaimed it fixes the position, and
+  claiming either one leads to positions of the same value.  Only the lowest
+  unclaimed vertex of each twin class is tried, except for a forced threat
+  move, which is the one move tried.
+
+No reduction changes the memo key (maker << n) | breaker.
 """
 
 from __future__ import annotations
@@ -198,19 +218,20 @@ class GameSolver:
         self.n = graph.n
         self.masks = minimal_pair_masks(dm, k)
         self._tt_limit = DEFAULT_TT_LIMIT if tt_limit is None else tt_limit
-        self._order_bits = self._build_order(move_order)
+        tp = twin_partition(graph)
+        self._order_bits = self._build_order(move_order, tp)
+        self._twin_masks = tuple(sum(1 << v for v in cls) for cls in tp.classes if len(cls) > 1)
         self._win_memo: dict[bool, dict[int, bool]] = {True: {}, False: {}}
         self._searchers: dict[bool, object] = {}
         self.stats = SolverStats()
 
     # -- setup ---------------------------------------------------------
 
-    def _build_order(self, move_order) -> tuple[int, ...]:
+    def _build_order(self, move_order, tp) -> tuple[int, ...]:
         if move_order is not None:
             if sorted(move_order) != list(range(self.n)):
                 raise ValueError("move_order must be a permutation of all vertices")
             return tuple(1 << v for v in move_order)
-        tp = twin_partition(self.graph)
         class_size = {}
         for cls in tp.classes:
             for v in cls:
@@ -226,15 +247,30 @@ class GameSolver:
         With a cap, the capped side (Maker if cap_maker, else Breaker) loses
         when it is to move and already holds cap vertices, so the search
         answers "does that side win within cap claims".  Nodes expanded are
-        counted in tally.nodes.
+        counted in tally.nodes; a node settled by the scan is not expanded.
+
+        The one scan over the masks also sums the Erdős–Selfridge potential,
+        in units of 2^-n so that it stays an exact int, and notes a threat
+        (an unhit mask with one free vertex).  Maker has won once the
+        potential is below 1 with Maker to move, or below 1/2 with Breaker to
+        move: the blocker's potential strategy never lets Breaker fill a mask.
+        That says nothing about how soon Maker wins, so under a cap on Maker
+        the cutoff is off; a cap on Breaker only ends her play early, so it
+        stays on.  Breaker to move wins on a threat once the cap test has let
+        her move, and Maker to move must claim the threat's vertex.  Moves
+        onto a twin whose lower-numbered twin is still unclaimed are skipped:
+        swapping the two fixes the position, so both moves have one value.
         """
         masks = self.masks
         tt_limit = self._tt_limit
         order_bits = self._order_bits
+        twin_masks = self._twin_masks
         n = self.n
+        unit = 1 << n  # potential 1, in units of 2^-n
         uncapped = n + 1  # more claims than there are vertices
         maker_cap = cap if cap is not None and cap_maker else uncapped
         breaker_cap = cap if cap is not None and not cap_maker else uncapped
+        es_bound = unit if maker_cap == uncapped else 0  # no potential is below 0
 
         # Both sides claim only live vertices (those of masks Maker has not
         # hit).  Any other claim is a pass, and since an extra claimed vertex
@@ -242,6 +278,8 @@ class GameSolver:
         # win sooner, nor delays the winner more, than a live claim does.
         def search(maker: int, breaker: int, maker_to_move: bool) -> bool:
             live = 0
+            potential = 0
+            threat = 0
             not_breaker = ~breaker
             for m in masks:
                 if not m & maker:
@@ -249,28 +287,49 @@ class GameSolver:
                     if not rest:
                         return False  # breaker owns this mask outright
                     live |= rest
+                    free = rest.bit_count()
+                    potential += unit >> free
+                    if free == 1:
+                        threat = rest
             if not live:
                 return True  # every mask hit: maker's set resolves
             if maker_to_move:
+                if potential < es_bound:
+                    return True
                 if maker.bit_count() >= maker_cap:
                     return False
-            elif breaker.bit_count() >= breaker_cap:
-                return True
+            else:
+                if breaker.bit_count() >= breaker_cap:
+                    return True
+                if threat:
+                    return False
+                if 2 * potential < es_bound:
+                    return True
             key = (maker << n) | breaker
             hit = memo.get(key)
             if hit is not None:
                 return hit
             tally.nodes += 1
+            if maker_to_move and threat:
+                # forced, and exempt from twin pruning: that would drop this
+                # vertex for a twin that is not a move here
+                moves = threat
+            else:
+                moves = live
+                unclaimed = ~(maker | breaker)
+                for twins in twin_masks:
+                    open_twins = twins & unclaimed
+                    moves &= ~(open_twins & (open_twins - 1))  # keep the lowest unclaimed twin only
             if maker_to_move:
                 result = False
                 for bit in order_bits:
-                    if bit & live and search(maker | bit, breaker, False):
+                    if bit & moves and search(maker | bit, breaker, False):
                         result = True
                         break
             else:
                 result = True
                 for bit in order_bits:
-                    if bit & live and not search(maker, breaker | bit, True):
+                    if bit & moves and not search(maker, breaker | bit, True):
                         result = False
                         break
             if len(memo) < tt_limit:

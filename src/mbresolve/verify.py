@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, TextIO
 
 from . import graphio
+from .errors import MBResolveError
 from .families import (
     FamilySpec,
     all_free_trees,
@@ -77,7 +78,11 @@ class _PropertyRecord:
 
 
 class _Context:
-    """The property dataset, built by the first check that needs it and shared by the rest."""
+    """The property dataset, built by the first check that needs it and shared by the rest.
+
+    The ``properties.dataset`` check runs ahead of the other ``properties.*``
+    checks, so in a full run it alone pays for the build.
+    """
 
     def __init__(self):
         self._property_data: list[_PropertyRecord] | None = None
@@ -409,6 +414,15 @@ def _generators(ctx: _Context):
 # -- structural property sweeps ---------------------------------------------------
 
 
+@_check("properties.dataset")
+def _prop_dataset(ctx: _Context):
+    expected = ("record: the dataset of the properties.* checks, every sampled and tree graph "
+                "of order <= 7 solved, counted, dimensioned and certified at every level up "
+                "to one past stabilization")
+    records = ctx.property_data()
+    return expected, f"{len(records)} graphs, {sum(len(rec.ks) for rec in records)} solves", True
+
+
 @_check("properties.outcome-monotone")
 def _prop_outcome_monotone(ctx: _Context):
     expected = ("outcome symbol never decreases with the level and is stable from "
@@ -593,16 +607,26 @@ def run_suite(
     only: list[str] | None = None,
     progress: TextIO | None = None,
 ) -> SuiteResult:
-    """Run the registered checks of a level; a check that raises fails alone."""
+    """Run the registered checks of a level; a check that raises fails alone.
+
+    Raises MBResolveError when a prefix of ``only`` matches no check id of the
+    level, so a mistyped filter is not read as a passing suite.
+    """
     if level not in ("quick", "full"):
         raise ValueError(f"level must be quick or full, got {level!r}")
+    checks = [(check_id, fn) for check_id, check_level, fn in _REGISTRY if level == "full" or check_level == "quick"]
+    if only:
+        unmatched = [prefix for prefix in only if not any(check_id.startswith(prefix) for check_id, _ in checks)]
+        if unmatched:
+            groups = sorted({check_id.split(".")[0] for check_id, _ in checks})
+            raise MBResolveError(
+                f"no {level}-level check id starts with {', '.join(map(repr, unmatched))}; "
+                f"check ids start with one of: {', '.join(groups)}"
+            )
+        checks = [(check_id, fn) for check_id, fn in checks if any(check_id.startswith(prefix) for prefix in only)]
     ctx = _Context()
     suite = SuiteResult(level=level)
-    for check_id, check_level, fn in _REGISTRY:
-        if check_level == "full" and level != "full":
-            continue
-        if only and not any(check_id.startswith(prefix) for prefix in only):
-            continue
+    for check_id, fn in checks:
         start = time.perf_counter()
         try:
             expected, actual, passed = fn(ctx)

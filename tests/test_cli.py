@@ -209,6 +209,17 @@ class TestVerifyPaper:
     def test_usage_error_exit_two(self, capsys):
         assert main(["verify-paper", "--level", "bogus"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--only", "nosuch"],
+        ["--only", "thm_d,nosuch"],
+        ["--only", "trees"],  # trees.exhaustive runs at the full level only
+    ])
+    def test_only_matching_no_check_exits_two(self, argv, capsys):
+        assert main(["verify-paper", "--quiet", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "checks passed" not in captured.out
+        assert "no quick-level check id starts with" in captured.err
+
 
 class TestLimitFlags:
     """Each limit flag exists only on the subcommands where it applies."""

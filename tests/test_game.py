@@ -99,6 +99,19 @@ class TestOutcome:
         assert out.symbol is OutcomeSymbol.M
         assert move_counts(g, dm, 1).mrk == 0
 
+    def test_search_node_bounds(self):
+        # the Erdős–Selfridge cutoff settles Petersen at the root, before any node is expanded
+        g, dm = family("petersen")
+        solver = GameSolver(g, dm, 1)
+        assert solver.outcome().symbol is OutcomeSymbol.M
+        assert solver.stats.nodes == 0
+        # the G(18, 0.3) draw of the ROADMAP baseline: the cutoff and threats settle it in 17 nodes
+        rng = random.Random(1)
+        g = [random_connected_graph(n, 0.3, rng) for n in (12, 14, 16, 18)][3]
+        solver = GameSolver(g, all_pairs_distances(g), 1)
+        assert solver.outcome().symbol is OutcomeSymbol.M
+        assert solver.stats.nodes <= 1_000
+
     def test_matches_naive_oracle_on_atlas(self):
         for g in connected_graph_atlas(max_n=5, min_n=2):
             dm = all_pairs_distances(g)
@@ -177,6 +190,9 @@ class TestMoveCounts:
         for k in (1, 2):
             cases.append((*family("star", beta=4), k))
         cases.append((*family("multipartite", parts=(3, 3)), 1))
+        for g in connected_graph_atlas(max_n=5, min_n=2):
+            dm = all_pairs_distances(g)
+            cases.extend((g, dm, k) for k in range(1, dm.stable_level + 1))
         symbols = set()
         for g, dm, k in cases:
             solver = GameSolver(g, dm, k)
