@@ -46,16 +46,13 @@ from .resolve import (
     PairSystem,
     PairSystemCheck,
     PairSystemKind,
-    ResolutionPartition,
     ResolveCheck,
     check_pair_system,
-    code_vector,
     cycle_gap_check,
     is_resolving,
     metric_dimension_k,
     minimal_pair_masks,
     pair_resolver_set,
-    resolution_partition,
     search_pair_system,
 )
 

@@ -6,6 +6,7 @@ and excluded from determinism guarantees.
 
 Exit codes: 0 success / all checks passed, 1 verification failure (a
 verify-paper check that fails or raises), 2 usage or parse error (also a
+vertex id outside the graph, a -k that is not a positive integer, or a
 verify-paper --only prefix that matches no check id of the level), 3 size-cap
 refusal, 4 internal invariant failure (a solver bug).
 
@@ -44,6 +45,26 @@ def _flag_or_env(flag: int | None, name: str) -> int | None:
         return int(raw)
     except ValueError:
         raise MBResolveError(f"environment variable {name} must be an integer, got {raw!r}") from None
+
+
+def _level(raw: str) -> int:
+    """A truncation level from the command line: a positive integer."""
+    try:
+        k = int(raw)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"truncation level must be a positive integer, got {raw!r}")
+    return k
+
+
+def _level_or_all(raw: str) -> int | str:
+    if raw == "all":
+        return raw
+    try:
+        return _level(raw)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f'truncation level must be a positive integer or "all", got {raw!r}') from None
 
 
 def _parse_params(args) -> dict:
@@ -140,7 +161,7 @@ def cmd_solve(args) -> int:
     tt = _flag_or_env(args.tt_entries, ENV_TT_ENTRIES)
     g, descriptor = _load_source(args)
     dm = all_pairs_distances(g)
-    ks = list(range(1, dm.stable_level + 1)) if args.k == "all" else [int(args.k)]
+    ks = list(range(1, dm.stable_level + 1)) if args.k == "all" else [args.k]
     per_k = []
     outcomes = []
     started = time.perf_counter()
@@ -184,10 +205,10 @@ def cmd_dim(args) -> int:
     g, descriptor = _load_source(args)
     dm = all_pairs_distances(g)
     t0 = time.perf_counter()
-    result = resolve.metric_dimension_k(dm, int(args.k), size_cap=_flag_or_env(args.max_n, ENV_MAX_N))
+    result = resolve.metric_dimension_k(dm, args.k, size_cap=_flag_or_env(args.max_n, ENV_MAX_N))
     _emit({
         "graph": descriptor,
-        "k": int(args.k),
+        "k": args.k,
         "dim": result.value,
         "witness": list(result.witness),
         "timing": {"seconds": round(time.perf_counter() - t0, 6)},
@@ -233,7 +254,7 @@ def cmd_check(args) -> int:
 def _require_k(args) -> int:
     if args.k is None:
         raise MBResolveError("this check needs -k")
-    return int(args.k)
+    return args.k
 
 
 def cmd_verify_paper(args) -> int:
@@ -291,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the game: outcome, winners, optional counts")
     _add_source_flags(p)
-    p.add_argument("-k", "--k", required=True, help='truncation level, or "all" for 1..diameter-1')
+    p.add_argument("-k", "--k", required=True, type=_level_or_all,
+                   help='truncation level, or "all" for 1..diameter-1')
     p.add_argument("--game", choices=["m", "b", "both"], default="both")
     p.add_argument("--counts", action="store_true", help="include optimal move counts")
     p.add_argument("--certificates", action="store_true", help="include structural certificates")
@@ -301,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="exact distance-k metric dimension with a witness")
     _add_source_flags(p)
-    p.add_argument("-k", "--k", required=True, type=int)
+    p.add_argument("-k", "--k", required=True, type=_level)
     _add_max_n_flag(p)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("check", help="resolving / pair-system / twin / gap checks")
     _add_source_flags(p)
-    p.add_argument("-k", "--k", type=int)
+    p.add_argument("-k", "--k", type=_level)
     p.add_argument("--set", help="comma-separated landmark ids")
     p.add_argument("--pairs", help='pair system, e.g. "0-2,1-3"')
     p.add_argument("--twins", action="store_true", help="print twin classes")

@@ -14,15 +14,11 @@ class LoopEdgeError(GraphBuildError):
 
 
 class VertexRangeError(GraphBuildError):
-    """An edge endpoint is outside 0..n-1."""
+    """A vertex id (an edge endpoint, landmark or pair vertex) is outside 0..n-1."""
 
 
 class DisconnectedError(GraphBuildError):
     """The edge set does not connect all vertices."""
-
-
-class EmptyLandmarkSetError(MBResolveError):
-    """A code vector needs at least one landmark."""
 
 
 class SameVertexError(MBResolveError):

@@ -437,7 +437,6 @@ def certificate_fast_path(
     k: int,
     *,
     size_cap: int | None = None,
-    search_budget: int = 400,
 ) -> Certificate | None:
     """Cheap structural outcome bounds; used to cross-check the solver."""
     tp = twin_partition(graph)
@@ -459,7 +458,7 @@ def certificate_fast_path(
             kind=CertificateKind.FORCED_B,
             reason=f"dimension {dim} exceeds half the order ({graph.n})",
         )
-    found = search_pair_system(dm, k, budget=search_budget)
+    found = search_pair_system(dm, k)
     if found is not None:
         system, check = found
         if check.kind is PairSystemKind.PAIRING:

@@ -1,6 +1,6 @@
 """Distance-k resolving machinery.
 
-Code maps, resolving checks via partition refinement, pair-resolver sets,
+Resolving checks via partition refinement, pair-resolver sets,
 exact distance-k metric dimension, pair systems (pairing / quasi-pairing)
 and the cycle gap conditions.
 
@@ -23,37 +23,24 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CycleTooSmallError,
-    EmptyLandmarkSetError,
     InvariantError,
     PairsOverlapError,
     SameVertexError,
     SizeCapError,
     TooManyPairsError,
+    VertexRangeError,
 )
 from .graph import DistanceMatrix, truncated_distance
 
 DEFAULT_SIZE_CAP = 18
 MAX_PAIR_SYSTEM = 20
+PAIR_SEARCH_NODES = 400
 
 
-def code_vector(dm: DistanceMatrix, k: int, landmarks: Sequence[int], v: int) -> tuple[int, ...]:
-    """Truncated distances from v to the landmarks, in landmark order."""
-    if not landmarks:
-        raise EmptyLandmarkSetError("code vector needs at least one landmark")
-    return tuple(truncated_distance(dm, k, v, u) for u in landmarks)
-
-
-@dataclass(frozen=True)
-class ResolutionPartition:
-    """Partition of V where two vertices share a block iff their codes agree."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    landmarks: tuple[int, ...]
-    k: int
-
-    @property
-    def discrete(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
+def _require_in_range(n: int, vertices: Iterable[int], what: str) -> None:
+    outside = sorted(v for v in vertices if not 0 <= v < n)
+    if outside:
+        raise VertexRangeError(f"{what} outside 0..{n - 1}: {outside}")
 
 
 def _refine(dm: DistanceMatrix, k: int, landmarks: Iterable[int]) -> list[list[int]]:
@@ -75,19 +62,6 @@ def _refine(dm: DistanceMatrix, k: int, landmarks: Iterable[int]) -> list[list[i
     return blocks
 
 
-def resolution_partition(dm: DistanceMatrix, k: int, landmarks: Iterable[int]) -> ResolutionPartition:
-    """Split V by truncated distance to each landmark in turn."""
-    if k < 1:
-        raise ValueError(f"truncation parameter k must be >= 1, got {k}")
-    landmarks = tuple(sorted(set(landmarks)))
-    blocks = _refine(dm, k, landmarks)
-    return ResolutionPartition(
-        blocks=tuple(sorted(tuple(sorted(b)) for b in blocks)),
-        landmarks=landmarks,
-        k=k,
-    )
-
-
 class ResolveCheck(NamedTuple):
     ok: bool
     unresolved: tuple[int, int] | None
@@ -97,7 +71,9 @@ def is_resolving(dm: DistanceMatrix, k: int, landmarks: Iterable[int]) -> Resolv
     """True iff the code map is injective; on failure returns one unresolved pair."""
     if k < 1:
         raise ValueError(f"truncation parameter k must be >= 1, got {k}")
-    blocks = _refine(dm, k, sorted(set(landmarks)))
+    landmarks = sorted(set(landmarks))
+    _require_in_range(dm.n, landmarks, "landmarks")
+    blocks = _refine(dm, k, landmarks)
     witness = None
     for block in blocks:
         if len(block) > 1:
@@ -278,119 +254,87 @@ def _transversal_masks(pairs: Sequence[tuple[int, int]]):
 
 
 def check_pair_system(dm: DistanceMatrix, k: int, pairs) -> PairSystemCheck:
-    """Classify a pair system by exhausting its transversals.
+    """Classify a pair system by the minimal masks that hold none of its pairs.
 
     pairing: every transversal resolves.  quasi-pairing: no transversal
     resolves but some single outside vertex completes all of them (all such
     witnesses are returned, ascending).  neither: anything else.
+
+    Cover rule: some transversal misses a minimal mask exactly when no pair
+    lies inside it, since a pair inside the mask puts a vertex of every
+    transversal there, and otherwise every pair has a vertex outside it.  So
+    the system is a pairing iff no mask is uncovered.  Otherwise it is
+    neither if some transversal hits every uncovered mask (the one step that
+    enumerates transversals), and else a vertex completes every transversal
+    iff it lies in every uncovered mask.  No pair vertex does: the
+    transversals through it would resolve.
     """
     ps = pairs if isinstance(pairs, PairSystem) else PairSystem.of(pairs)
     if len(ps.pairs) > MAX_PAIR_SYSTEM:
         raise TooManyPairsError(f"{len(ps.pairs)} pairs exceed the cap of {MAX_PAIR_SYSTEM}")
     if not ps.pairs:
         raise PairsOverlapError("pair system needs at least one pair")
-    out_of_range = [v for v in ps.vertex_set if not 0 <= v < dm.n]
-    if out_of_range:
-        raise ValueError(f"pair vertices outside 0..{dm.n - 1}: {sorted(out_of_range)}")
-    masks = minimal_pair_masks(dm, k)
-    any_resolves = False
-    all_resolve = True
-    for t in _transversal_masks(ps.pairs):
-        if mask_resolves(masks, t):
-            any_resolves = True
-        else:
-            all_resolve = False
-        if any_resolves and not all_resolve:
-            return PairSystemCheck(PairSystemKind.NEITHER)
-    if all_resolve:
+    _require_in_range(dm.n, ps.vertex_set, "pair vertices")
+    pair_bits = [(1 << u) | (1 << w) for u, w in ps.pairs]
+    uncovered = [m for m in minimal_pair_masks(dm, k) if not any(m & b == b for b in pair_bits)]
+    if not uncovered:
         return PairSystemCheck(PairSystemKind.PAIRING)
-    used = ps.vertex_set
-    witnesses = []
-    for v in range(dm.n):
-        if v in used:
-            continue
-        bit = 1 << v
-        if all(mask_resolves(masks, t | bit) for t in _transversal_masks(ps.pairs)):
-            witnesses.append(v)
+    if any(mask_resolves(uncovered, t) for t in _transversal_masks(ps.pairs)):
+        return PairSystemCheck(PairSystemKind.NEITHER)
+    common = uncovered[0]
+    for m in uncovered:
+        common &= m
+    witnesses = tuple(v for v in range(dm.n) if common >> v & 1)
     if witnesses:
-        return PairSystemCheck(PairSystemKind.QUASI_PAIRING, tuple(witnesses))
+        return PairSystemCheck(PairSystemKind.QUASI_PAIRING, witnesses)
     return PairSystemCheck(PairSystemKind.NEITHER)
 
 
-def _first_failing_transversal(masks, pairs) -> int | None:
-    """A transversal that fails to resolve, or None if all resolve."""
-    for t in _transversal_masks(pairs):
-        if not mask_resolves(masks, t):
-            return t
-    return None
+def _covers(masks: Sequence[int]):
+    """Disjoint pair systems with a pair inside every mask, as sorted pair tuples.
+
+    Branches on the first mask without a chosen pair inside it, smallest
+    first, over the pairs of its unused vertices, so a 2-mask (a twin pair)
+    forces its pair.  With no node limit, every cover contains one that this
+    finds; at most PAIR_SEARCH_NODES nodes are expanded.
+    """
+    nodes = 0
+
+    def extend(pending: list[int], pairs: tuple[tuple[int, int], ...], used: int):
+        nonlocal nodes
+        if not pending:
+            yield tuple(sorted(pairs))
+            return
+        if nodes >= PAIR_SEARCH_NODES:
+            return
+        nodes += 1
+        free = pending[0] & ~used
+        for u, w in combinations([v for v in range(free.bit_length()) if free >> v & 1], 2):
+            b = (1 << u) | (1 << w)
+            yield from extend([m for m in pending if m & b != b], pairs + ((u, w),), used | b)
+
+    return extend(list(masks), (), 0)
 
 
-def search_pair_system(
-    dm: DistanceMatrix,
-    k: int,
-    *,
-    budget: int = 400,
-) -> tuple[PairSystem, PairSystemCheck] | None:
-    """Budgeted search for a pairing (preferred) or quasi-pairing system.
+def search_pair_system(dm: DistanceMatrix, k: int) -> tuple[PairSystem, PairSystemCheck] | None:
+    """Search for a pairing (preferred) or quasi-pairing system.
 
-    Seeds with pairs inside twin classes, then repairs failing transversals by
-    adding a pair drawn from an unhit pair-resolver mask: any transversal must
-    then take one of the two, which hits that mask.
+    By the cover rule of check_pair_system, a pairing is a cover: disjoint
+    pairs with one inside every minimal mask.  A quasi-pairing with witness v
+    covers every mask that misses v, because the transversals plus v hit
+    those masks only through the transversals.  So one cover search runs
+    over all masks, then once per candidate witness v over the masks that
+    miss v, and the first cover that check_pair_system confirms is returned.
     """
     masks = minimal_pair_masks(dm, k)
-    if not masks:
-        return None
-    seed: list[tuple[int, int]] = []
-    used = 0
-    # twin pairs are forced structure: both sides of a 2-mask resolve the pair
-    for m in masks:
-        if m.bit_count() == 2 and not m & used:
-            u = (m & -m).bit_length() - 1
-            w = (m ^ (m & -m)).bit_length() - 1
-            seed.append((u, w))
-            used |= m
-    visited: list[tuple[tuple[int, int], ...]] = []
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    state = {"budget": budget}
-
-    def extend(pairs: tuple[tuple[int, int], ...], used: int) -> PairSystem | None:
-        if state["budget"] <= 0 or len(pairs) > dm.n // 2 or pairs in seen:
-            return None
-        seen.add(pairs)
-        state["budget"] -= 1
-        if pairs:
-            failing = _first_failing_transversal(masks, pairs)
-            if failing is None:
-                return PairSystem(pairs=pairs)
-            visited.append(pairs)
-            unhit_masks = [m for m in masks if not m & failing]
-        else:
-            unhit_masks = [masks[0]]
-        tried: set[tuple[int, int]] = set()
-        for unhit in unhit_masks:
-            free = unhit & ~used
-            candidates = []
-            while free:
-                bit = free & -free
-                candidates.append(bit.bit_length() - 1)
-                free ^= bit
-            for u, w in combinations(candidates, 2):
-                if (u, w) in tried:
-                    continue
-                tried.add((u, w))
-                result = extend(tuple(sorted(pairs + ((u, w),))), used | (1 << u) | (1 << w))
-                if result is not None:
-                    return result
-        return None
-
-    found = extend(tuple(sorted(seed)), used)
-    if found is not None:
-        return found, PairSystemCheck(PairSystemKind.PAIRING)
-    # no pairing within budget: retest dead-end systems for quasi-pairing
-    for pairs in visited:
-        check = check_pair_system(dm, k, PairSystem(pairs=pairs))
-        if check.kind is PairSystemKind.QUASI_PAIRING:
-            return PairSystem(pairs=pairs), check
+    targets = [masks] + [tuple(m for m in masks if not m >> v & 1) for v in range(dm.n)]
+    # an empty target (no masks, or v alone resolves) has no pair to offer
+    for target in filter(None, targets):
+        for pairs in _covers(target):
+            system = PairSystem(pairs=pairs)
+            check = check_pair_system(dm, k, system)
+            if check.kind is not PairSystemKind.NEITHER:
+                return system, check
     return None
 
 
@@ -407,8 +351,7 @@ class GapProfile:
         marks = tuple(sorted(set(landmarks)))
         if not marks:
             raise ValueError("gap profile needs at least one landmark")
-        if marks[0] < 0 or marks[-1] >= n:
-            raise ValueError(f"landmarks outside 0..{n - 1}: {marks}")
+        _require_in_range(n, marks, "landmarks")
         gaps = []
         for i, u in enumerate(marks):
             nxt = marks[(i + 1) % len(marks)]

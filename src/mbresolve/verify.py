@@ -112,7 +112,7 @@ class _Context:
                 outcomes[k] = out
                 counts[k] = solver.move_counts(out)
                 dims[k] = metric_dimension_k(dm, k).value
-                certs[k] = certificate_fast_path(g, dm, k, search_budget=150)
+                certs[k] = certificate_fast_path(g, dm, k)
             records.append(
                 _PropertyRecord(
                     graph=g, ks=ks, outcomes=outcomes, counts=counts,

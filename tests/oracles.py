@@ -8,7 +8,7 @@ moves with no pruning or mask structure.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from mbresolve.graph import DistanceMatrix, truncated_distance
 
@@ -29,6 +29,27 @@ def brute_force_dim(dm: DistanceMatrix, k: int) -> tuple[int, tuple[int, ...]]:
             if direct_is_resolving(dm, k, combo):
                 return size, combo
     return dm.n, tuple(range(dm.n))
+
+
+def naive_pair_system_kind(dm: DistanceMatrix, k: int, pairs) -> tuple[str, tuple[int, ...]]:
+    """(kind, witnesses) of a pair system, over every transversal.
+
+    pairing: every transversal resolves.  quasi-pairing: no transversal
+    resolves but some single outside vertex completes all of them (all such
+    witnesses, ascending).  neither: anything else.
+    """
+    transversals = [set(t) for t in product(*pairs)]
+    resolves = [direct_is_resolving(dm, k, t) for t in transversals]
+    if all(resolves):
+        return "pairing", ()
+    if any(resolves):
+        return "neither", ()
+    used = {v for p in pairs for v in p}
+    witnesses = tuple(
+        v for v in range(dm.n)
+        if v not in used and all(direct_is_resolving(dm, k, t | {v}) for t in transversals)
+    )
+    return ("quasi-pairing", witnesses) if witnesses else ("neither", ())
 
 
 def naive_maker_wins(dm: DistanceMatrix, k: int, maker: frozenset, breaker: frozenset, maker_to_move: bool, memo=None) -> bool:

@@ -274,11 +274,24 @@ class TestCertificates:
         assert cert is not None and cert.kind is CertificateKind.FORCED_B
         assert "dimension" in cert.reason
 
+    def test_cover_search_certificates(self):
+        # a pairing {0,2} {1,7} {3,4} {5,6} certifies M
+        g = build_graph(9, [(0, 2), (0, 5), (0, 6), (1, 2), (1, 8), (2, 3), (2, 6), (3, 4), (6, 7), (7, 8)])
+        dm = all_pairs_distances(g)
+        cert = certificate_fast_path(g, dm, 1)
+        assert cert is not None and cert.kind is CertificateKind.M_CERTIFIED
+        # a quasi-pairing {1,4} {2,3} with witness 0 certifies M or N; the outcome is N
+        g = build_graph(7, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 5), (1, 6), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+        dm = all_pairs_distances(g)
+        cert = certificate_fast_path(g, dm, 1)
+        assert cert is not None and cert.kind is CertificateKind.M_OR_N and 0 in cert.witnesses
+        assert outcome(g, dm, 1).symbol is OutcomeSymbol.N
+
     def test_never_contradicts_solver_on_atlas(self):
         for g in connected_graph_atlas(max_n=5, min_n=2):
             dm = all_pairs_distances(g)
             for k in range(1, max(2, dm.diameter)):
-                cert = certificate_fast_path(g, dm, k, search_budget=100)
+                cert = certificate_fast_path(g, dm, k)
                 if cert is not None:
                     assert outcome(g, dm, k).symbol in cert.allowed_symbols
 
@@ -301,6 +314,18 @@ class TestDeterminismAndSymmetry:
                 == identity.winner_move_count(True)
                 == reverse.winner_move_count(True)
             )
+
+    def test_tt_limit_zero_recomputes(self):
+        # entries beyond the table limit are recomputed, never wrong
+        cases = [("thm_d", {}, 1), ("thm_d", {}, 2), ("cycle", {"n": 7}, 1), ("cycle", {"n": 7}, 2),
+                 ("multipartite", {"parts": (2, 2, 1)}, 1), ("star", {"beta": 4}, 1)]
+        for name, kw, k in cases:
+            g, dm = family(name, **kw)
+            base = GameSolver(g, dm, k)
+            bare = GameSolver(g, dm, k, tt_limit=0)
+            assert bare.outcome() == base.outcome()
+            assert bare.move_counts() == base.move_counts()
+            assert bare.stats.tt_entries == 0
 
     def test_repeat_solves_identical(self):
         g, dm = family("thm_e", alpha=3)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from mbresolve.families import FamilySpec, gen_family, random_connected_graph
 from mbresolve.graph import all_pairs_distances, truncated_distance, twin_partition
 from mbresolve.resolve import (
+    _refine,
     GapProfile,
     cycle_gap_check,
     is_resolving,
     metric_dimension_k,
     minimal_pair_masks,
-    resolution_partition,
 )
 
 from oracles import direct_is_resolving
@@ -77,11 +77,11 @@ def test_partition_refinement_never_merges(seed):
     dm = all_pairs_distances(g)
     k = rng.randint(1, max(1, dm.diameter - 1))
     landmarks = rng.sample(range(g.n), rng.randint(1, g.n - 1)) if g.n > 1 else [0]
-    base = resolution_partition(dm, k, landmarks)
+    base = _refine(dm, k, landmarks)
     extra = rng.randrange(g.n)
-    refined = resolution_partition(dm, k, list(landmarks) + [extra])
-    for block in refined.blocks:
-        assert any(set(block) <= set(b) for b in base.blocks)
+    refined = _refine(dm, k, list(landmarks) + [extra])
+    for block in refined:
+        assert any(set(block) <= set(b) for b in base)
 
 
 def test_twin_pairs_must_be_hit_by_resolving_sets():

@@ -1,79 +1,37 @@
+import random
+
 import pytest
 
 from mbresolve import resolve
 from mbresolve.errors import (
     CycleTooSmallError,
-    EmptyLandmarkSetError,
     InvariantError,
     PairsOverlapError,
     SameVertexError,
     SizeCapError,
     TooManyPairsError,
+    VertexRangeError,
 )
-from mbresolve.families import FamilySpec, gen_family
+from mbresolve.families import FamilySpec, connected_graph_atlas, gen_family
 from mbresolve.graph import all_pairs_distances, build_graph
 from mbresolve.resolve import (
     GapProfile,
     PairSystemKind,
     check_pair_system,
-    code_vector,
     cycle_gap_check,
     is_resolving,
     metric_dimension_k,
     minimal_pair_masks,
     pair_resolver_set,
-    resolution_partition,
     search_pair_system,
 )
 
-from oracles import brute_force_dim, direct_is_resolving
+from oracles import brute_force_dim, direct_code, direct_is_resolving, naive_pair_system_kind
 
 
 def family_dm(family, **kw):
     g = gen_family(FamilySpec.make(family, **kw))
     return g, all_pairs_distances(g)
-
-
-class TestCodeVector:
-    def test_c4_example(self):
-        _, dm = family_dm("cycle", n=4)
-        assert code_vector(dm, 1, (0, 1), 2) == (2, 1)
-
-    def test_own_index_zero(self):
-        _, dm = family_dm("petersen")
-        vec = code_vector(dm, 1, (3, 7, 9), 7)
-        assert vec[1] == 0
-
-    def test_p4_truncation_collapses(self):
-        _, dm = family_dm("path", n=4)
-        assert code_vector(dm, 1, (0,), 2) == (2,)
-        assert code_vector(dm, 1, (0,), 3) == (2,)
-
-    def test_empty_landmarks_rejected(self):
-        _, dm = family_dm("path", n=4)
-        with pytest.raises(EmptyLandmarkSetError):
-            code_vector(dm, 1, (), 0)
-
-
-class TestResolutionPartition:
-    def test_discrete_iff_resolving(self):
-        _, dm = family_dm("cycle", n=5)
-        for subset in range(1, 1 << 5):
-            landmarks = [v for v in range(5) if subset >> v & 1]
-            part = resolution_partition(dm, 1, landmarks)
-            assert part.discrete == is_resolving(dm, 1, landmarks).ok
-
-    def test_adding_landmark_only_refines(self):
-        _, dm = family_dm("thm_d")
-        base = resolution_partition(dm, 1, [3, 5])
-        refined = resolution_partition(dm, 1, [3, 5, 7])
-        for block in refined.blocks:
-            assert any(set(block) <= set(b) for b in base.blocks)
-
-    def test_blocks_partition_vertices(self):
-        g, dm = family_dm("fig1", alpha=2)
-        part = resolution_partition(dm, 2, [0, 5, 12])
-        assert sorted(v for b in part.blocks for v in b) == list(range(g.n))
 
 
 class TestIsResolving:
@@ -102,6 +60,12 @@ class TestIsResolving:
         for subset in range(0, 1 << g.n, 7):  # strided sample
             landmarks = [v for v in range(g.n) if subset >> v & 1]
             assert is_resolving(dm, 2, landmarks).ok == direct_is_resolving(dm, 2, landmarks)
+
+    @pytest.mark.parametrize("landmarks", [{-1}, {0, 5}], ids=["negative", "too-large"])
+    def test_vertex_out_of_range(self, landmarks):
+        _, dm = family_dm("path", n=5)
+        with pytest.raises(VertexRangeError):
+            is_resolving(dm, 4, landmarks)
 
     def test_superset_monotone(self):
         g, dm = family_dm("cycle", n=7)
@@ -132,7 +96,7 @@ class TestPairResolverSet:
             for y in range(x + 1, g.n):
                 expected = {
                     z for z in range(g.n)
-                    if code_vector(dm, 1, (z,), x) != code_vector(dm, 1, (z,), y)
+                    if direct_code(dm, 1, (z,), x) != direct_code(dm, 1, (z,), y)
                 }
                 assert pair_resolver_set(dm, 1, x, y) == expected
 
@@ -247,6 +211,26 @@ class TestPairSystems:
         with pytest.raises(PairsOverlapError):
             check_pair_system(dm, 1, [(0, 2), (2, 4)])
 
+    def test_vertex_out_of_range(self):
+        _, dm = family_dm("path", n=5)
+        with pytest.raises(VertexRangeError):
+            check_pair_system(dm, 1, [(0, 9)])
+
+    def test_matches_naive_oracle_on_atlas(self):
+        rng = random.Random(6)
+        cases = 0
+        for g in connected_graph_atlas(max_n=6, min_n=2):
+            dm = all_pairs_distances(g)
+            for k in range(1, dm.stable_level + 1):
+                for _ in range(4):
+                    a = rng.randint(1, g.n // 2)
+                    vs = rng.sample(range(g.n), 2 * a)
+                    pairs = [(vs[2 * i], vs[2 * i + 1]) for i in range(a)]
+                    check = check_pair_system(dm, k, pairs)
+                    assert (check.kind.value, check.witnesses) == naive_pair_system_kind(dm, k, pairs), (sorted(g.edges), k, pairs)
+                    cases += 1
+        assert cases == 848
+
     def test_pair_cap(self):
         pairs = [(2 * i, 2 * i + 1) for i in range(resolve.MAX_PAIR_SYSTEM + 1)]
         _, dm = family_dm("path", n=2 * len(pairs))
@@ -292,6 +276,10 @@ class TestGapConditions:
         profile = GapProfile.from_landmarks(10, [0, 4, 5, 9])
         assert profile.gaps.count(3) == 2
         assert not cycle_gap_check(profile, 1)
+
+    def test_landmark_out_of_range(self):
+        with pytest.raises(VertexRangeError):
+            GapProfile.from_landmarks(9, [0, 9])
 
     def test_cycle_too_small(self):
         with pytest.raises(CycleTooSmallError):
