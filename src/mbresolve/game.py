@@ -15,7 +15,7 @@ the least cap c = 0, 1, 2, ... under which the winner still wins (iterative
 deepening), each capped run with a fresh memo.
 
 Each node is a Maker-Breaker hypergraph game in which Breaker builds (she
-wins by claiming every free vertex of an unhit mask) and Maker blocks.  Three
+wins by claiming every free vertex of an unhit mask) and Maker blocks.  These
 exact reductions are always on; each leaves every node's value unchanged:
 
 - Erdős–Selfridge cutoff.  With P the sum of 2^-|free part| over unhit masks,
@@ -23,6 +23,12 @@ exact reductions are always on; each leaves every node's value unchanged:
   move (Erdős and Selfridge 1973), so Maker has won.  It says that Maker wins
   eventually, not within a number of claims, so it is off when Maker's claims
   are capped; a cap on Breaker only helps Maker, so it stays on there.
+- Claim-horizon cutoffs.  Under a cap on Maker with r claims left, Maker has
+  lost once the free parts of unhit masks hold more than r pairwise disjoint
+  sets (found by a greedy packing, smallest first): one claim hits at most
+  one of them.  Under a cap on Breaker with r claims left, Maker has won once
+  every unhit mask has more than r free vertices: Breaker cannot fill a mask
+  before her cap ends her play.
 - Threats.  An unhit mask with one free vertex is a threat: Breaker to move
   claims it and wins, and Maker to move must claim it, because any other move
   lets Breaker win at once.
@@ -32,7 +38,12 @@ exact reductions are always on; each leaves every node's value unchanged:
   unclaimed vertex of each twin class is tried, except for a forced threat
   move, which is the one move tried.
 
-No reduction changes the memo key (maker << n) | breaker.
+Both sides try their moves in decreasing order of danger, the sum of
+2^-|free part| over the unhit masks that hold the vertex; that is the vertex
+the Erdős–Selfridge blocker claims, and the one whose claim raises Breaker's
+potential most.  Ties keep the static order.  Ordering changes only which
+move is tried first, never a node's value.  No reduction changes the memo key
+(maker << n) | breaker.
 """
 
 from __future__ import annotations
@@ -47,6 +58,7 @@ from .resolve import (
     DEFAULT_SIZE_CAP,
     PairSystem,
     PairSystemKind,
+    _require_in_range,
     metric_dimension_k,
     minimal_pair_masks,
     search_pair_system,
@@ -197,7 +209,13 @@ class SolverStats:
 
 
 class GameSolver:
-    """Solves both games on one (graph, k); reusable across winner/count queries."""
+    """Solves both games on one (graph, k); reusable across winner/count queries.
+
+    Moves are tried in decreasing order of danger (see _searcher).  The
+    static order, move_order when given and otherwise larger twin classes
+    and higher degree first, only breaks danger ties; no order changes a
+    result.
+    """
 
     def __init__(
         self,
@@ -247,19 +265,42 @@ class GameSolver:
         With a cap, the capped side (Maker if cap_maker, else Breaker) loses
         when it is to move and already holds cap vertices, so the search
         answers "does that side win within cap claims".  Nodes expanded are
-        counted in tally.nodes; a node settled by the scan is not expanded.
+        counted in tally.nodes; a node settled by the scan or by a cap cutoff
+        is not expanded.
 
-        The one scan over the masks also sums the Erdős–Selfridge potential,
-        in units of 2^-n so that it stays an exact int, and notes a threat
-        (an unhit mask with one free vertex).  Maker has won once the
-        potential is below 1 with Maker to move, or below 1/2 with Breaker to
-        move: the blocker's potential strategy never lets Breaker fill a mask.
-        That says nothing about how soon Maker wins, so under a cap on Maker
-        the cutoff is off; a cap on Breaker only ends her play early, so it
-        stays on.  Breaker to move wins on a threat once the cap test has let
-        her move, and Maker to move must claim the threat's vertex.  Moves
-        onto a twin whose lower-numbered twin is still unclaimed are skipped:
-        swapping the two fixes the position, so both moves have one value.
+        The one scan over the masks sums the Erdős–Selfridge potential, in
+        units of 2^-n so that it stays an exact int, and notes the fewest
+        free vertices of an unhit mask.  Maker has won once the potential is
+        below 1 with Maker to move, or below 1/2 with Breaker to move: the
+        blocker's potential strategy never lets Breaker fill a mask.  That
+        says nothing about how soon Maker wins, so under a cap on Maker the
+        cutoff is off; a cap on Breaker only ends her play early, so it stays
+        on.  Breaker to move wins on a threat (a mask with one free vertex),
+        and Maker to move must claim the threat's vertex.  Moves onto a twin
+        whose lower-numbered twin is still unclaimed are skipped: swapping the
+        two fixes the position, so both moves have one value.
+
+        The caps cut off in place of searching to the capped side's last
+        claim.  Under a cap on Breaker with r claims left, Maker has won once
+        every unhit mask has more than r free vertices: Breaker wins only by
+        claiming all of a mask's free vertices, Maker's claims never add a
+        free vertex, and until Maker hits every mask a live vertex stays open,
+        so play runs on until Breaker is to move at her cap.  Under a cap on
+        Maker with r claims left, Maker has lost once more than r of the free
+        parts of unhit masks are pairwise disjoint, since one claim hits at
+        most one of them and Maker must hit them all; the disjoint sets come
+        from a greedy packing, smallest free part first, so the cutoff fires
+        on a lower bound and is exact whenever it fires.  The packing and the
+        danger scores below read only the free parts of the unhit masks; they
+        are listed again at the nodes the memo does not answer, so a node the
+        scan settles pays nothing for them.
+
+        At an expanded node with two or more moves, both sides try them in
+        decreasing order of danger, the sum of 2^-|free part| over the unhit
+        masks holding the vertex: Maker's claim lowers the potential by that
+        much, Breaker's raises it by that much, as in the Erdős–Selfridge
+        blocker strategy.  Ties keep the static order.  The order only decides
+        which move is tried first; a node's value is over all its moves.
         """
         masks = self.masks
         tt_limit = self._tt_limit
@@ -267,10 +308,9 @@ class GameSolver:
         twin_masks = self._twin_masks
         n = self.n
         unit = 1 << n  # potential 1, in units of 2^-n
-        uncapped = n + 1  # more claims than there are vertices
-        maker_cap = cap if cap is not None and cap_maker else uncapped
-        breaker_cap = cap if cap is not None and not cap_maker else uncapped
-        es_bound = unit if maker_cap == uncapped else 0  # no potential is below 0
+        maker_cap = cap if cap_maker else None
+        breaker_cap = None if cap_maker else cap
+        es_bound = unit if maker_cap is None else 0  # no potential is below 0
 
         # Both sides claim only live vertices (those of masks Maker has not
         # hit).  Any other claim is a pass, and since an extra claimed vertex
@@ -279,7 +319,8 @@ class GameSolver:
         def search(maker: int, breaker: int, maker_to_move: bool) -> bool:
             live = 0
             potential = 0
-            threat = 0
+            min_free = n + 1  # more than any mask has
+            smallest = 0
             not_breaker = ~breaker
             for m in masks:
                 if not m & maker:
@@ -289,47 +330,72 @@ class GameSolver:
                     live |= rest
                     free = rest.bit_count()
                     potential += unit >> free
-                    if free == 1:
-                        threat = rest
+                    if free < min_free:
+                        min_free = free
+                        smallest = rest
             if not live:
                 return True  # every mask hit: maker's set resolves
+            if breaker_cap is not None and min_free > breaker_cap - breaker.bit_count():
+                return True  # Breaker cannot fill a mask within her cap
             if maker_to_move:
                 if potential < es_bound:
                     return True
-                if maker.bit_count() >= maker_cap:
-                    return False
             else:
-                if breaker.bit_count() >= breaker_cap:
-                    return True
-                if threat:
-                    return False
+                if min_free == 1:
+                    return False  # Breaker claims the threat's vertex
                 if 2 * potential < es_bound:
                     return True
             key = (maker << n) | breaker
             hit = memo.get(key)
             if hit is not None:
                 return hit
+            rests = None
+            if maker_cap is not None:
+                left = maker_cap - maker.bit_count()
+                rests = sorted([m & not_breaker for m in masks if not m & maker], key=int.bit_count)
+                used = packed = 0
+                for rest in rests:
+                    if not rest & used:
+                        used |= rest
+                        packed += 1
+                        if packed > left:
+                            return False  # Maker cannot hit every mask within his cap
             tally.nodes += 1
-            if maker_to_move and threat:
+            if maker_to_move and min_free == 1:
                 # forced, and exempt from twin pruning: that would drop this
                 # vertex for a twin that is not a move here
-                moves = threat
+                moves = smallest
             else:
                 moves = live
                 unclaimed = ~(maker | breaker)
                 for twins in twin_masks:
                     open_twins = twins & unclaimed
                     moves &= ~(open_twins & (open_twins - 1))  # keep the lowest unclaimed twin only
+            if moves & (moves - 1):
+                if rests is None:
+                    rests = [m & not_breaker for m in masks if not m & maker]
+                danger = {}
+                for rest in rests:
+                    weight = unit >> rest.bit_count()
+                    rest &= moves
+                    while rest:
+                        bit = rest & -rest
+                        danger[bit] = danger.get(bit, 0) + weight
+                        rest ^= bit
+                order = [bit for bit in order_bits if bit & moves]
+                order.sort(key=danger.__getitem__, reverse=True)  # stable: ties keep the static order
+            else:
+                order = (moves,)
             if maker_to_move:
                 result = False
-                for bit in order_bits:
-                    if bit & moves and search(maker | bit, breaker, False):
+                for bit in order:
+                    if search(maker | bit, breaker, False):
                         result = True
                         break
             else:
                 result = True
-                for bit in order_bits:
-                    if bit & moves and not search(maker, breaker | bit, True):
+                for bit in order:
+                    if not search(maker, breaker | bit, True):
                         result = False
                         break
             if len(memo) < tt_limit:
@@ -350,9 +416,7 @@ class GameSolver:
 
     def winner(self, position: GamePosition) -> Player:
         position.validate_reachable()
-        for v in position.maker_set | position.breaker_set:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+        _require_in_range(self.n, position.maker_set | position.breaker_set, "position vertices")
         maker = sum(1 << v for v in position.maker_set)
         breaker = sum(1 << v for v in position.breaker_set)
         maker_first = position.first_player is Player.MAKER

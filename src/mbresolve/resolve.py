@@ -24,6 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     CycleTooSmallError,
     InvariantError,
+    MBResolveError,
     PairsOverlapError,
     SameVertexError,
     SizeCapError,
@@ -350,7 +351,7 @@ class GapProfile:
     def from_landmarks(cls, n: int, landmarks: Iterable[int]) -> "GapProfile":
         marks = tuple(sorted(set(landmarks)))
         if not marks:
-            raise ValueError("gap profile needs at least one landmark")
+            raise MBResolveError("gap profile needs at least one landmark")
         _require_in_range(n, marks, "landmarks")
         gaps = []
         for i, u in enumerate(marks):

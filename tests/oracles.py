@@ -72,6 +72,36 @@ def naive_maker_wins(dm: DistanceMatrix, k: int, maker: frozenset, breaker: froz
     return result
 
 
+def naive_wins_within(dm: DistanceMatrix, k: int, maker: frozenset, breaker: frozenset, maker_to_move: bool,
+                      cap: int, cap_maker: bool, memo=None) -> bool:
+    """Does Maker win when the capped side loses on its turn once it holds cap vertices?
+
+    Full-board minimax over every unclaimed vertex.  Maker has won once his
+    set resolves, Breaker once Maker's set plus every unclaimed vertex no
+    longer resolves; the capped side is Maker if cap_maker, else Breaker.
+    """
+    if memo is None:
+        memo = {}
+    if direct_is_resolving(dm, k, maker):
+        return True
+    free = [v for v in range(dm.n) if v not in maker and v not in breaker]
+    if not direct_is_resolving(dm, k, maker | set(free)):
+        return False
+    if maker_to_move and cap_maker and len(maker) >= cap:
+        return False
+    if not maker_to_move and not cap_maker and len(breaker) >= cap:
+        return True
+    key = (maker, breaker, maker_to_move)
+    if key in memo:
+        return memo[key]
+    if maker_to_move:
+        result = any(naive_wins_within(dm, k, maker | {v}, breaker, False, cap, cap_maker, memo) for v in free)
+    else:
+        result = all(naive_wins_within(dm, k, maker, breaker | {v}, True, cap, cap_maker, memo) for v in free)
+    memo[key] = result
+    return result
+
+
 def naive_outcome_symbol(dm: DistanceMatrix, k: int) -> int:
     empty = frozenset()
     m_game = naive_maker_wins(dm, k, empty, empty, True)

@@ -252,12 +252,13 @@ class TestBadInput:
         (["check", "--family", "path", "--n", "5", "-k", "4", "--set=-1"], "landmarks outside 0..4: [-1]"),
         (["check", "--family", "path", "--n", "5", "-k", "4", "--set", "9"], "landmarks outside 0..4: [9]"),
         (["check", "--family", "cycle", "--n", "9", "-k", "1", "--set", "9", "--gaps"], "landmarks outside 0..8: [9]"),
+        (["check", "--family", "cycle", "--n", "9", "-k", "1", "--set=", "--gaps"], "gap profile needs at least one landmark"),
         (["check", "--family", "path", "--n", "5", "-k", "1", "--pairs", "0-9"], "pair vertices outside 0..4: [9]"),
         (["solve", "--family", "path", "--n", "5", "-k", "0"], "positive integer or \"all\", got '0'"),
         (["solve", "--family", "path", "--n", "5", "-k", "x"], "positive integer or \"all\", got 'x'"),
         (["dim", "--family", "path", "--n", "5", "-k", "0"], "positive integer, got '0'"),
         (["check", "--family", "path", "--n", "5", "-k", "0", "--set", "1"], "positive integer, got '0'"),
-    ], ids=["set-negative", "set-too-large", "gaps-set-too-large", "pairs-too-large",
+    ], ids=["set-negative", "set-too-large", "gaps-set-too-large", "gaps-set-empty", "pairs-too-large",
             "solve-k-zero", "solve-k-word", "dim-k-zero", "check-k-zero"])
     def test_exit_two_with_message(self, argv, message, capsys):
         assert main(argv) == 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mbresolve.errors import CountUndefinedError, InvariantError, SizeCapError
+from mbresolve.errors import CountUndefinedError, InvariantError, SizeCapError, VertexRangeError
 from mbresolve.families import FamilySpec, connected_graph_atlas, gen_family, random_connected_graph
 from mbresolve.game import (
     CertificateKind,
@@ -12,6 +12,7 @@ from mbresolve.game import (
     JumpReport,
     OutcomeSymbol,
     Player,
+    SolverStats,
     certificate_fast_path,
     jump_report,
     move_counts,
@@ -21,7 +22,7 @@ from mbresolve.game import (
 from mbresolve.graph import all_pairs_distances, build_graph
 from mbresolve.resolve import PairSystemKind, check_pair_system
 
-from oracles import naive_maker_wins, naive_outcome_symbol, naive_winner_count
+from oracles import naive_maker_wins, naive_outcome_symbol, naive_winner_count, naive_wins_within
 
 
 def family(name, **kw):
@@ -53,6 +54,13 @@ class TestWinner:
         g, dm = family("cycle", n=5)
         pos = GamePosition(frozenset({0, 1}), frozenset(), Player.MAKER)
         with pytest.raises(ValueError):
+            winner(g, dm, 1, pos)
+
+    @pytest.mark.parametrize("maker, breaker", [({5}, set()), ({0}, {-1})], ids=["too-large", "negative"])
+    def test_vertex_out_of_range(self, maker, breaker):
+        g, dm = family("cycle", n=5)
+        pos = GamePosition(frozenset(maker), frozenset(breaker), Player.MAKER)
+        with pytest.raises(VertexRangeError):
             winner(g, dm, 1, pos)
 
     def test_player_to_move_derivation(self):
@@ -111,6 +119,16 @@ class TestOutcome:
         solver = GameSolver(g, all_pairs_distances(g), 1)
         assert solver.outcome().symbol is OutcomeSymbol.M
         assert solver.stats.nodes <= 1_000
+        # danger ordering: C15 takes 222,090 nodes in the static degree order
+        g, dm = family("cycle", n=15)
+        solver = GameSolver(g, dm, 1)
+        assert solver.outcome().symbol is OutcomeSymbol.N
+        assert solver.stats.nodes <= 40_000
+        # ordering and the cap cutoffs: C12 counts take 64,266 count nodes without them
+        g, dm = family("cycle", n=12)
+        solver = GameSolver(g, dm, 1)
+        solver.move_counts()
+        assert solver.stats.count_nodes <= 30_000
 
     def test_matches_naive_oracle_on_atlas(self):
         for g in connected_graph_atlas(max_n=5, min_n=2):
@@ -134,6 +152,34 @@ class TestOutcome:
             got = winner(g, dm, k, pos) is Player.MAKER
             want = naive_maker_wins(dm, k, maker, breaker, pos.player_to_move is Player.MAKER)
             assert got == want, (sorted(g.edges), k, sorted(maker), sorted(breaker), first)
+
+
+class TestCappedSearch:
+    def test_midgame_positions_match_naive_oracle(self):
+        # interior positions, where the cap cutoffs fire; the empty-board count test rarely reaches them
+        rng = random.Random(707)
+        seen = set()
+        for _ in range(150):
+            g = random_connected_graph(rng.randint(2, 6), rng.uniform(0.3, 0.8), rng)
+            dm = all_pairs_distances(g)
+            k = rng.randint(1, max(1, dm.diameter))
+            solver = GameSolver(g, dm, k)
+            pool = list(range(g.n))
+            rng.shuffle(pool)
+            claimed = pool[: rng.randint(0, g.n - 1)]
+            split = rng.randint(0, len(claimed))
+            maker, breaker = frozenset(claimed[:split]), frozenset(claimed[split:])
+            maker_bits = sum(1 << v for v in maker)
+            breaker_bits = sum(1 << v for v in breaker)
+            for cap_maker in (True, False):
+                held = len(maker) if cap_maker else len(breaker)
+                for cap in range(held, held + 4):
+                    for maker_to_move in (True, False):
+                        got = solver._searcher({}, SolverStats(), cap, cap_maker)(maker_bits, breaker_bits, maker_to_move)
+                        want = naive_wins_within(dm, k, maker, breaker, maker_to_move, cap, cap_maker)
+                        assert got == want, (sorted(g.edges), k, sorted(maker), sorted(breaker), maker_to_move, cap, cap_maker)
+                        seen.add((cap_maker, got))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestMoveCounts:
