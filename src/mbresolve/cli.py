@@ -7,8 +7,8 @@ and excluded from determinism guarantees.
 Exit codes: 0 success / all checks passed, 1 verification failure (a
 verify-paper check that fails or raises), 2 usage or parse error (also a
 vertex id outside the graph, a -k that is not a positive integer, or a
-verify-paper --only prefix that matches no check id of the level), 3 size-cap
-refusal, 4 internal invariant failure (a solver bug).
+verify-paper --only prefix that is empty or matches no check id of the
+level), 3 size-cap refusal, 4 internal invariant failure (a solver bug).
 
 Limits: solve takes --max-n (MBRESOLVE_MAX_N) and --tt-entries
 (MBRESOLVE_TT_ENTRIES), dim takes --max-n; a flag wins over its variable, and
@@ -260,7 +260,7 @@ def _require_k(args) -> int:
 def cmd_verify_paper(args) -> int:
     from . import verify
 
-    only = args.only.split(",") if args.only else None
+    only = args.only.split(",") if args.only is not None else None
     suite = verify.run_suite(
         level=args.level,
         only=only,
@@ -279,13 +279,17 @@ def cmd_verify_paper(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_source_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="generate the graph from a named family "
-                                    f"({', '.join(families.family_names())})")
+def _add_family_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="order parameter (path/cycle/complete/wheel)")
     p.add_argument("--beta", type=int, help="leaf count (star)")
     p.add_argument("--alpha", type=int, help="branch parameter (thm_a/thm_b/thm_e/thm_f/fig1)")
     p.add_argument("--parts", help='part sizes for multipartite, e.g. "3,3"')
+
+
+def _add_source_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", help="generate the graph from a named family "
+                                    f"({', '.join(families.family_names())})")
+    _add_family_param_flags(p)
     p.add_argument("--file", help="read the graph from a text or JSON file")
 
 
@@ -302,10 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a family graph and write it to a file")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--beta", type=int)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--parts")
+    _add_family_param_flags(p)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_gen)

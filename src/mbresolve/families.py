@@ -281,20 +281,22 @@ def _predict_wheel(spec: FamilySpec, k: int) -> frozenset[OutcomeSymbol]:
     return frozenset({M, N})
 
 
-def _predict_multipartite(spec: FamilySpec, k: int) -> frozenset[OutcomeSymbol]:
-    return frozenset({_multipartite_symbol(_multipartite_parts(spec))})
+def _parts(spec: FamilySpec) -> tuple[int, ...] | None:
+    """Part sizes of a complete multipartite family (stars and complete graphs too), else None."""
+    if spec.family == "multipartite":
+        return _multipartite_parts(spec)
+    if spec.family == "star":
+        return (1, _int_param(spec, "beta", 1))
+    if spec.family == "complete":
+        n = _int_param(spec, "n", 1)
+        if n == 1:
+            raise NotCoveredError("single-vertex graph has no closed form")
+        return (1,) * n
+    return None
 
 
-def _predict_star(spec: FamilySpec, k: int) -> frozenset[OutcomeSymbol]:
-    beta = _int_param(spec, "beta", 1)
-    return frozenset({_multipartite_symbol((1, beta))})
-
-
-def _predict_complete(spec: FamilySpec, k: int) -> frozenset[OutcomeSymbol]:
-    n = _int_param(spec, "n", 1)
-    if n == 1:
-        raise NotCoveredError("single-vertex graph has no closed form")
-    return frozenset({_multipartite_symbol(tuple([1] * n))})
+def _predict_parts(spec: FamilySpec, k: int) -> frozenset[OutcomeSymbol]:
+    return frozenset({_multipartite_symbol(_parts(spec))})
 
 
 def _predict_petersen(spec: FamilySpec, k: int) -> frozenset[OutcomeSymbol]:
@@ -311,9 +313,9 @@ def _steps(k: int, at_1: OutcomeSymbol, later: OutcomeSymbol, at_2: OutcomeSymbo
 
 PREDICTORS: dict[str, Callable[[FamilySpec, int], frozenset[OutcomeSymbol]]] = {
     "cycle": _predict_cycle,
-    "complete": _predict_complete,
-    "star": _predict_star,
-    "multipartite": _predict_multipartite,
+    "complete": _predict_parts,
+    "star": _predict_parts,
+    "multipartite": _predict_parts,
     "wheel": _predict_wheel,
     "petersen": _predict_petersen,
     "thm_a": lambda spec, k: frozenset({M}),
@@ -340,23 +342,6 @@ GENERATORS: dict[str, Callable[[FamilySpec], Graph]] = {
     "fig1": _gen_fig1,
 }
 
-FAMILY_DESCRIPTIONS: dict[str, str] = {
-    "path": "path on n vertices",
-    "cycle": "cycle on n vertices",
-    "complete": "complete graph on n vertices",
-    "star": "star with beta leaves",
-    "multipartite": "complete multipartite graph with the given part sizes",
-    "wheel": "n-cycle joined to a hub",
-    "petersen": "the Petersen graph",
-    "thm_a": "star on alpha leaves with all but two edges subdivided once",
-    "thm_b": "star on alpha leaves with all but three edges subdivided once",
-    "thm_d": "3-vertex spine with two leaves per spine vertex",
-    "thm_e": "alpha-vertex spine, two leaves per spine vertex and three on the last",
-    "thm_f": "alpha-vertex spine with two leaves per spine vertex",
-    "fig1": "alpha branches (paired leaves, paired supports, hub) sharing a tailed center",
-}
-
-
 def family_names() -> tuple[str, ...]:
     return tuple(sorted(GENERATORS))
 
@@ -382,24 +367,17 @@ def predicted_counts(spec: FamilySpec, k: int, dim_value: int | None = None) -> 
     """Known exact move counts for the few families with closed forms."""
     if spec.family == "petersen":
         return {"mrk": 3, "mprime_rk": 3}
-    if spec.family in ("multipartite", "star", "complete"):
-        if spec.family == "multipartite":
-            parts = _multipartite_parts(spec)
-        elif spec.family == "star":
-            parts = (1, _int_param(spec, "beta", 1))
-        else:
-            parts = tuple([1] * _int_param(spec, "n", 2))
-        symbol = _multipartite_symbol(parts)
-        if symbol is B:
-            return {"brk": 2, "bprime_rk": 2}
-        if symbol is M:
-            if dim_value is None:
-                return None
-            return {"mrk": dim_value, "mprime_rk": dim_value}
-        if dim_value is None:
-            return None
-        return {"nrk": dim_value, "nprime_rk": 2}
-    return None
+    parts = _parts(spec)
+    if parts is None:
+        return None
+    symbol = _multipartite_symbol(parts)
+    if symbol is B:
+        return {"brk": 2, "bprime_rk": 2}
+    if dim_value is None:
+        return None
+    if symbol is M:
+        return {"mrk": dim_value, "mprime_rk": dim_value}
+    return {"nrk": dim_value, "nprime_rk": 2}
 
 
 # -- tree classification --------------------------------------------------------
@@ -410,9 +388,6 @@ class TreeProfile:
     """Exterior major vertices grouped by terminal degree, plus eligibility flags."""
 
     n: int
-    terminal_degrees: tuple[tuple[int, int], ...]  # (major vertex, terminal degree)
-    leaves: tuple[int, ...]
-    m1: tuple[int, ...]
     m2: tuple[int, ...]
     m3: tuple[int, ...]
     m4: tuple[int, ...]  # terminal degree >= 4
@@ -440,18 +415,13 @@ def classify_tree(g: Graph) -> TreeProfile:
             # in a tree the first major vertex on the walk from a leaf is
             # strictly closer than every other major vertex
             ter[closest] += 1
-    buckets: dict[int, list[int]] = {1: [], 2: [], 3: [], 4: []}
+    buckets: dict[int, list[int]] = {2: [], 3: [], 4: []}
     for v in majors:
-        t = ter[v]
-        if t >= 4:
-            buckets[4].append(v)
-        elif t >= 1:
+        t = min(ter[v], 4)
+        if t >= 2:
             buckets[t].append(v)
     return TreeProfile(
         n=g.n,
-        terminal_degrees=tuple(sorted(ter.items())),
-        leaves=tuple(leaves),
-        m1=tuple(buckets[1]),
         m2=tuple(buckets[2]),
         m3=tuple(buckets[3]),
         m4=tuple(buckets[4]),

@@ -41,8 +41,9 @@ exact reductions are always on; each leaves every node's value unchanged:
 Both sides try their moves in decreasing order of danger, the sum of
 2^-|free part| over the unhit masks that hold the vertex; that is the vertex
 the Erdős–Selfridge blocker claims, and the one whose claim raises Breaker's
-potential most.  Ties keep the static order.  Ordering changes only which
-move is tried first, never a node's value.  No reduction changes the memo key
+potential most.  Ties keep the order in which the vertices first appear in
+the free parts, smallest mask first.  Ordering changes only which move is
+tried first, never a node's value.  No reduction changes the memo key
 (maker << n) | breaker.
 """
 
@@ -211,10 +212,8 @@ class SolverStats:
 class GameSolver:
     """Solves both games on one (graph, k); reusable across winner/count queries.
 
-    Moves are tried in decreasing order of danger (see _searcher).  The
-    static order, move_order when given and otherwise larger twin classes
-    and higher degree first, only breaks danger ties; no order changes a
-    result.
+    Moves are tried in decreasing order of danger (see _searcher); the order
+    never changes a result.
     """
 
     def __init__(
@@ -225,7 +224,6 @@ class GameSolver:
         *,
         size_cap: int | None = None,
         tt_limit: int | None = None,
-        move_order: tuple[int, ...] | None = None,
     ):
         cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
         if graph.n > cap:
@@ -236,26 +234,11 @@ class GameSolver:
         self.n = graph.n
         self.masks = minimal_pair_masks(dm, k)
         self._tt_limit = DEFAULT_TT_LIMIT if tt_limit is None else tt_limit
-        tp = twin_partition(graph)
-        self._order_bits = self._build_order(move_order, tp)
-        self._twin_masks = tuple(sum(1 << v for v in cls) for cls in tp.classes if len(cls) > 1)
+        twin_classes = twin_partition(graph).classes
+        self._twin_masks = tuple(sum(1 << v for v in cls) for cls in twin_classes if len(cls) > 1)
         self._win_memo: dict[bool, dict[int, bool]] = {True: {}, False: {}}
         self._searchers: dict[bool, object] = {}
         self.stats = SolverStats()
-
-    # -- setup ---------------------------------------------------------
-
-    def _build_order(self, move_order, tp) -> tuple[int, ...]:
-        if move_order is not None:
-            if sorted(move_order) != list(range(self.n)):
-                raise ValueError("move_order must be a permutation of all vertices")
-            return tuple(1 << v for v in move_order)
-        class_size = {}
-        for cls in tp.classes:
-            for v in cls:
-                class_size[v] = len(cls)
-        verts = sorted(range(self.n), key=lambda v: (-class_size[v], -self.graph.degree(v), v))
-        return tuple(1 << v for v in verts)
 
     # -- winner search ---------------------------------------------------
 
@@ -299,12 +282,13 @@ class GameSolver:
         decreasing order of danger, the sum of 2^-|free part| over the unhit
         masks holding the vertex: Maker's claim lowers the potential by that
         much, Breaker's raises it by that much, as in the Erdős–Selfridge
-        blocker strategy.  Ties keep the static order.  The order only decides
-        which move is tried first; a node's value is over all its moves.
+        blocker strategy.  Ties keep the order in which the vertices first
+        appear in the listed free parts, lowest vertex first within a part.
+        The order only decides which move is tried first; a node's value is
+        over all its moves.
         """
         masks = self.masks
         tt_limit = self._tt_limit
-        order_bits = self._order_bits
         twin_masks = self._twin_masks
         n = self.n
         unit = 1 << n  # potential 1, in units of 2^-n
@@ -382,8 +366,8 @@ class GameSolver:
                         bit = rest & -rest
                         danger[bit] = danger.get(bit, 0) + weight
                         rest ^= bit
-                order = [bit for bit in order_bits if bit & moves]
-                order.sort(key=danger.__getitem__, reverse=True)  # stable: ties keep the static order
+                # every move lies in a listed free part, so danger has a key for each
+                order = sorted(danger, key=danger.__getitem__, reverse=True)
             else:
                 order = (moves,)
             if maker_to_move:

@@ -240,10 +240,6 @@ class PairSystemCheck:
     kind: PairSystemKind
     witnesses: tuple[int, ...] = ()
 
-    @property
-    def witness(self) -> int | None:
-        return self.witnesses[0] if self.witnesses else None
-
 
 def _transversal_masks(pairs: Sequence[tuple[int, int]]):
     a = len(pairs)

@@ -10,15 +10,21 @@ import time
 
 import pytest
 
-from mbresolve import verify
-from mbresolve.errors import InvariantError
+from mbresolve import families, verify
+from mbresolve.errors import InvariantError, NotCoveredError
 from mbresolve.families import connected_graph_atlas
+from mbresolve.game import OutcomeSymbol
 from mbresolve.graph import all_pairs_distances
 from mbresolve.resolve import is_resolving
 
 from oracles import direct_is_resolving
 
 CHECK_IDS = [check_id for check_id, _, _ in verify._REGISTRY]
+CLOSED_FORM_IDS = [
+    "multipartite.outcome-table", "cycles.closed-form", "cycles.level1-small-odd", "wheels.small",
+    "realizations.thm_a", "realizations.thm_b", "realizations.star4", "realizations.thm_d",
+    "realizations.thm_e", "realizations.thm_f",
+]
 
 
 def report(criterion: str, detail: str):
@@ -54,6 +60,22 @@ def test_raising_check_fails_alone(monkeypatch):
     assert planted_result.actual == "raised InvariantError: planted"
     assert all(c.passed for c in suite.checks if c is not planted_result)
     assert not suite.all_passed
+
+
+def _not_covered(spec, k):
+    raise NotCoveredError("planted")
+
+
+@pytest.mark.parametrize("predictor, passing", [
+    (lambda spec, k: frozenset({OutcomeSymbol.B}), ["realizations.star4"]),  # the star's closed form is B
+    (lambda spec, k: frozenset(OutcomeSymbol) - families.predict_outcome(spec, k), []),
+    (_not_covered, []),  # a row that checks no pair fails
+], ids=["always-B", "complement", "not-covered"])
+def test_closed_form_rows_follow_the_predictor(monkeypatch, predictor, passing):
+    monkeypatch.setattr(verify, "predict_outcome", predictor)
+    suite = verify.run_suite(level="quick", only=CLOSED_FORM_IDS)
+    assert [c.check_id for c in suite.checks] == CLOSED_FORM_IDS
+    assert [c.check_id for c in suite.checks if c.passed] == passing
 
 
 def test_criterion_9_oracle_equivalence():

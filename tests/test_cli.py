@@ -213,12 +213,19 @@ class TestVerifyPaper:
         ["--only", "nosuch"],
         ["--only", "thm_d,nosuch"],
         ["--only", "trees"],  # trees.exhaustive runs at the full level only
+        ["--only", "thm_d.,"],  # an empty prefix would match every check
+        ["--only", ","],
+        ["--only", ""],
     ])
     def test_only_matching_no_check_exits_two(self, argv, capsys):
         assert main(["verify-paper", "--quiet", *argv]) == 2
         captured = capsys.readouterr()
         assert "checks passed" not in captured.out
-        assert "no quick-level check id starts with" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        if "" in argv[1].split(","):
+            assert "empty check id prefix" in captured.err
+        else:
+            assert "no quick-level check id starts with" in captured.err
 
 
 class TestLimitFlags:
