@@ -190,7 +190,7 @@ def cmd_solve(args) -> int:
             }
         entry["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
         entry["stats"] = {"nodes": solver.stats.nodes, "tt_entries": solver.stats.tt_entries,
-                          "count_nodes": solver.stats.count_nodes}
+                          "tt_hits": solver.stats.tt_hits, "count_nodes": solver.stats.count_nodes}
         per_k.append(entry)
     report: dict = {"graph": descriptor, "k": args.k, "per_k": per_k}
     if args.k == "all" and args.game == "both":

@@ -387,7 +387,6 @@ def predicted_counts(spec: FamilySpec, k: int, dim_value: int | None = None) -> 
 class TreeProfile:
     """Exterior major vertices grouped by terminal degree, plus eligibility flags."""
 
-    n: int
     m2: tuple[int, ...]
     m3: tuple[int, ...]
     m4: tuple[int, ...]  # terminal degree >= 4
@@ -421,7 +420,6 @@ def classify_tree(g: Graph) -> TreeProfile:
         if t >= 2:
             buckets[t].append(v)
     return TreeProfile(
-        n=g.n,
         m2=tuple(buckets[2]),
         m3=tuple(buckets[3]),
         m4=tuple(buckets[4]),

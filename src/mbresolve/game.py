@@ -8,11 +8,21 @@ she owns some mask outright.
 
 The search is a memoized boolean minimax over (maker, breaker) bitmask pairs;
 the side to move is derived from the claim counts, so the transposition key
-needs no turn bit.  Move generation restricts to vertices of still-unhit
-masks (claiming anything else helps neither side).  Move counts reuse the
-same search with a cap on the winner's claims: the winner's optimal count is
-the least cap c = 0, 1, 2, ... under which the winner still wins (iterative
-deepening), each capped run with a fresh memo.
+needs no turn bit, and GameSolver.maker_wins refuses any position play cannot
+reach, which would otherwise share a key with a real one.  Move generation
+restricts to vertices of still-unhit masks (claiming anything else helps
+neither side).  Move counts reuse the same search with a cap on the winner's
+claims: the winner's optimal count is the least cap c = 0, 1, 2, ... under
+which the winner still wins (iterative deepening), each capped run with a
+fresh memo.
+
+Each node probes the memo first, then builds its list of the free parts of
+unhit masks from its parent's list and the vertex just claimed: a Maker claim
+drops the parts it hits, a Breaker claim clears her vertex from the rest.
+The same loop sums the potential and finds the threats below, and the danger
+scores and the packing read that list, so no node rescans every mask.
+Probing first is exact because the memo holds only nodes the scan did not
+settle.
 
 Each node is a Maker-Breaker hypergraph game in which Breaker builds (she
 wins by claiming every free vertex of an unhit mask) and Maker blocks.  These
@@ -53,7 +63,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
-from .errors import CountUndefinedError, InvariantError, SizeCapError
+from .errors import CountUndefinedError, InvariantError, SizeCapError, VertexRangeError
 from .graph import DistanceMatrix, Graph, twin_partition
 from .resolve import (
     DEFAULT_SIZE_CAP,
@@ -104,14 +114,6 @@ class GamePosition:
         if self.first_player is Player.MAKER:
             return Player.MAKER if a == b else Player.BREAKER
         return Player.BREAKER if a == b else Player.MAKER
-
-    def validate_reachable(self) -> None:
-        a, b = len(self.maker_set), len(self.breaker_set)
-        diff = a - b if self.first_player is Player.MAKER else b - a
-        if diff not in (0, 1):
-            raise ValueError(
-                f"position unreachable with {self.first_player.value} moving first: |maker|={a}, |breaker|={b}"
-            )
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,17 @@ class Certificate:
 
 @dataclass
 class SolverStats:
+    """Search counters; informative only, never part of a result.
+
+    nodes and tt_hits count the expanded nodes and the memo hits of the
+    uncapped searches behind maker_wins, and tt_entries their memo entries;
+    count_nodes counts the expanded nodes of the capped searches behind move
+    counts.
+    """
+
     nodes: int = 0
     tt_entries: int = 0
+    tt_hits: int = 0
     count_nodes: int = 0
 
 
@@ -248,20 +259,38 @@ class GameSolver:
         With a cap, the capped side (Maker if cap_maker, else Breaker) loses
         when it is to move and already holds cap vertices, so the search
         answers "does that side win within cap claims".  Nodes expanded are
-        counted in tally.nodes; a node settled by the scan or by a cap cutoff
-        is not expanded.
+        counted in tally.nodes and memo hits in tally.tt_hits; a node settled
+        by the scan or by a cap cutoff is not expanded.
 
-        The one scan over the masks sums the Erdős–Selfridge potential, in
-        units of 2^-n so that it stays an exact int, and notes the fewest
-        free vertices of an unhit mask.  Maker has won once the potential is
-        below 1 with Maker to move, or below 1/2 with Breaker to move: the
-        blocker's potential strategy never lets Breaker fill a mask.  That
-        says nothing about how soon Maker wins, so under a cap on Maker the
-        cutoff is off; a cap on Breaker only ends her play early, so it stays
-        on.  Breaker to move wins on a threat (a mask with one free vertex),
-        and Maker to move must claim the threat's vertex.  Moves onto a twin
-        whose lower-numbered twin is still unclaimed are skipped: swapping the
-        two fixes the position, so both moves have one value.
+        The search carries its state down the tree: each child receives its
+        parent's free parts of the unhit masks (mask & ~breaker for every mask
+        Maker has not hit), in mask order, and the vertex just claimed.  One
+        fused loop filters that list into the child's own and scans it.  After
+        a Maker claim, the parts that hold his vertex drop out; after a
+        Breaker claim, her vertex is cleared from every part, and a part left
+        empty means she owns that mask outright and has won.  Only the entry
+        call lists the parts from the masks (on the empty board they are the
+        masks themselves); it settles a Breaker-owned mask there, so no
+        carried list holds an empty part and the Maker-claim filter needs no
+        empty test.  A node thus costs time in the unhit masks, not in all of
+        them.
+
+        The memo is probed before that loop.  That is exact: the memo holds
+        only expanded nodes, whose scan settled nothing, and within one memo
+        the side to move and each cap's claims left are functions of the key,
+        since every entry call is a position play can reach.
+
+        The scan sums the Erdős–Selfridge potential, in units of 2^-n so that
+        it stays an exact int, and notes the fewest free vertices of an unhit
+        mask.  Maker has won once the potential is below 1 with Maker to move,
+        or below 1/2 with Breaker to move: the blocker's potential strategy
+        never lets Breaker fill a mask.  That says nothing about how soon
+        Maker wins, so under a cap on Maker the cutoff is off; a cap on
+        Breaker only ends her play early, so it stays on.  Breaker to move
+        wins on a threat (a mask with one free vertex), and Maker to move must
+        claim the threat's vertex.  Moves onto a twin whose lower-numbered
+        twin is still unclaimed are skipped: swapping the two fixes the
+        position, so both moves have one value.
 
         The caps cut off in place of searching to the capped side's last
         claim.  Under a cap on Breaker with r claims left, Maker has won once
@@ -270,22 +299,20 @@ class GameSolver:
         free vertex, and until Maker hits every mask a live vertex stays open,
         so play runs on until Breaker is to move at her cap.  Under a cap on
         Maker with r claims left, Maker has lost once more than r of the free
-        parts of unhit masks are pairwise disjoint, since one claim hits at
-        most one of them and Maker must hit them all; the disjoint sets come
-        from a greedy packing, smallest free part first, so the cutoff fires
-        on a lower bound and is exact whenever it fires.  The packing and the
-        danger scores below read only the free parts of the unhit masks; they
-        are listed again at the nodes the memo does not answer, so a node the
-        scan settles pays nothing for them.
+        parts are pairwise disjoint, since one claim hits at most one of them
+        and Maker must hit them all; the disjoint sets come from a greedy
+        packing, smallest free part first, so the cutoff fires on a lower
+        bound and is exact whenever it fires.
 
         At an expanded node with two or more moves, both sides try them in
-        decreasing order of danger, the sum of 2^-|free part| over the unhit
-        masks holding the vertex: Maker's claim lowers the potential by that
+        decreasing order of danger, the sum of 2^-|free part| over the free
+        parts holding the vertex: Maker's claim lowers the potential by that
         much, Breaker's raises it by that much, as in the Erdős–Selfridge
         blocker strategy.  Ties keep the order in which the vertices first
-        appear in the listed free parts, lowest vertex first within a part.
-        The order only decides which move is tried first; a node's value is
-        over all its moves.
+        appear in the free parts, lowest vertex first within a part; the parts
+        are read in mask order, or smallest first under a cap on Maker, where
+        the packing has sorted them.  The order only decides which move is
+        tried first; a node's value is over all its moves.
         """
         masks = self.masks
         tt_limit = self._tt_limit
@@ -295,28 +322,50 @@ class GameSolver:
         maker_cap = cap if cap_maker else None
         breaker_cap = None if cap_maker else cap
         es_bound = unit if maker_cap is None else 0  # no potential is below 0
+        memo_get = memo.get
 
         # Both sides claim only live vertices (those of masks Maker has not
         # hit).  Any other claim is a pass, and since an extra claimed vertex
         # never hurts its owner (monotonicity), a pass never lets the winner
         # win sooner, nor delays the winner more, than a live claim does.
-        def search(maker: int, breaker: int, maker_to_move: bool) -> bool:
+        def node(
+            maker: int, breaker: int, maker_to_move: bool, above: list[int] | tuple[int, ...], claimed: int
+        ) -> bool:
+            key = (maker << n) | breaker
+            hit = memo_get(key)
+            if hit is not None:
+                tally.tt_hits += 1
+                return hit
+            parts = []
             live = 0
             potential = 0
             min_free = n + 1  # more than any mask has
             smallest = 0
-            not_breaker = ~breaker
-            for m in masks:
-                if not m & maker:
-                    rest = m & not_breaker
+            if maker_to_move:
+                # Breaker has just claimed: clear her vertex from every part
+                keep = ~claimed
+                for rest in above:
+                    rest &= keep
                     if not rest:
-                        return False  # breaker owns this mask outright
+                        return False  # Breaker owns this mask outright
+                    parts.append(rest)
                     live |= rest
                     free = rest.bit_count()
                     potential += unit >> free
                     if free < min_free:
                         min_free = free
                         smallest = rest
+            else:
+                # Maker has just claimed: drop the parts of the masks he hit
+                for rest in above:
+                    if not rest & claimed:
+                        parts.append(rest)
+                        live |= rest
+                        free = rest.bit_count()
+                        potential += unit >> free
+                        if free < min_free:
+                            min_free = free
+                            smallest = rest
             if not live:
                 return True  # every mask hit: maker's set resolves
             if breaker_cap is not None and min_free > breaker_cap - breaker.bit_count():
@@ -329,16 +378,12 @@ class GameSolver:
                     return False  # Breaker claims the threat's vertex
                 if 2 * potential < es_bound:
                     return True
-            key = (maker << n) | breaker
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            rests = None
+            ranked = parts
             if maker_cap is not None:
                 left = maker_cap - maker.bit_count()
-                rests = sorted([m & not_breaker for m in masks if not m & maker], key=int.bit_count)
+                ranked = sorted(parts, key=int.bit_count)
                 used = packed = 0
-                for rest in rests:
+                for rest in ranked:
                     if not rest & used:
                         used |= rest
                         packed += 1
@@ -356,39 +401,72 @@ class GameSolver:
                     open_twins = twins & unclaimed
                     moves &= ~(open_twins & (open_twins - 1))  # keep the lowest unclaimed twin only
             if moves & (moves - 1):
-                if rests is None:
-                    rests = [m & not_breaker for m in masks if not m & maker]
                 danger = {}
-                for rest in rests:
+                for rest in ranked:
                     weight = unit >> rest.bit_count()
                     rest &= moves
                     while rest:
                         bit = rest & -rest
                         danger[bit] = danger.get(bit, 0) + weight
                         rest ^= bit
-                # every move lies in a listed free part, so danger has a key for each
+                # every move lies in a part, so danger has a key for each
                 order = sorted(danger, key=danger.__getitem__, reverse=True)
             else:
                 order = (moves,)
             if maker_to_move:
                 result = False
                 for bit in order:
-                    if search(maker | bit, breaker, False):
+                    if node(maker | bit, breaker, False, parts, bit):
                         result = True
                         break
             else:
                 result = True
                 for bit in order:
-                    if not search(maker, breaker | bit, True):
+                    if not node(maker, breaker | bit, True, parts, bit):
                         result = False
                         break
             if len(memo) < tt_limit:
                 memo[key] = result
             return result
 
+        def search(maker: int, breaker: int, maker_to_move: bool) -> bool:
+            if maker | breaker:
+                not_breaker = ~breaker
+                parts = [m & not_breaker for m in masks if not m & maker]
+                if not all(parts):
+                    return False  # Breaker owns a mask outright
+            else:
+                parts = masks  # the empty board, where every search of a game starts
+            # no vertex is claimed on entry, so the first filter keeps every part
+            return node(maker, breaker, maker_to_move, parts, 0)
+
         return search
 
     def maker_wins(self, maker: int, breaker: int, maker_to_move: bool, maker_first: bool) -> bool:
+        """Does Maker win from the position given by the claimed-vertex bitmasks?
+
+        Each memo is keyed by (maker << n) | breaker alone, so a position play
+        cannot reach would poison it for later queries.  A bit outside 0..n-1
+        raises VertexRangeError; overlapping sets, claim counts the first
+        player cannot reach, or a side to move that the counts do not give
+        raise ValueError.
+        """
+        both = maker | breaker
+        if both < 0:
+            raise VertexRangeError(f"position bitmasks must be non-negative, got {maker} and {breaker}")
+        if both >> self.n:
+            _require_in_range(self.n, [v for v in range(both.bit_length()) if both >> v & 1], "position vertices")
+        if maker & breaker:
+            raise ValueError(f"maker and breaker sets overlap: {maker & breaker:#b}")
+        lead = maker.bit_count() - breaker.bit_count()  # the first player's claims ahead
+        if not maker_first:
+            lead = -lead
+        if lead not in (0, 1):
+            first = Player.MAKER if maker_first else Player.BREAKER
+            raise ValueError(f"position unreachable with {first.value} moving first: "
+                             f"|maker|={maker.bit_count()}, |breaker|={breaker.bit_count()}")
+        if maker_to_move != ((lead == 0) == maker_first):
+            raise ValueError(f"{'Maker' if maker_to_move else 'Breaker'} is not the side to move here")
         search = self._searchers.get(maker_first)
         if search is None:
             search = self._searchers[maker_first] = self._searcher(self._win_memo[maker_first], self.stats)
@@ -399,7 +477,6 @@ class GameSolver:
     # -- public queries ----------------------------------------------------
 
     def winner(self, position: GamePosition) -> Player:
-        position.validate_reachable()
         _require_in_range(self.n, position.maker_set | position.breaker_set, "position vertices")
         maker = sum(1 << v for v in position.maker_set)
         breaker = sum(1 << v for v in position.breaker_set)

@@ -63,6 +63,38 @@ class TestWinner:
         with pytest.raises(VertexRangeError):
             winner(g, dm, 1, pos)
 
+    @pytest.mark.parametrize("maker, breaker, maker_to_move, maker_first, error", [
+        (0, 1 << 7, True, True, VertexRangeError),  # a Breaker bit past n shares the key of Maker on vertex 2
+        (-1, 0, True, True, VertexRangeError),
+        (1, 1, True, True, ValueError),  # overlapping sets
+        (0b11, 0, False, True, ValueError),  # Maker two claims ahead
+        (0, 0b1, True, True, ValueError),  # Breaker ahead in the M-game
+        (0, 0, False, True, ValueError),  # side to move disagrees with the counts
+        (0b1, 0b10, True, False, ValueError),
+    ])
+    def test_maker_wins_rejects_bad_positions(self, maker, breaker, maker_to_move, maker_first, error):
+        # the memo key carries no turn bit, so an accepted bad call would poison later queries
+        g = build_graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+        dm = all_pairs_distances(g)
+        solver = GameSolver(g, dm, 1)
+        with pytest.raises(error):
+            solver.maker_wins(maker, breaker, maker_to_move, maker_first)
+        assert solver.outcome() == GameSolver(g, dm, 1).outcome()
+        assert solver.outcome().symbol is OutcomeSymbol.N
+
+    def test_out_of_range_bit_cannot_alias_a_claim(self):
+        # on K5 minus (0, 4), a Breaker bit at n + v has the memo key of Maker holding v
+        g = build_graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5) if (a, b) != (0, 4)])
+        dm = all_pairs_distances(g)
+        for v in range(5):
+            for maker_first in (True, False):
+                solver = GameSolver(g, dm, 1)
+                with pytest.raises(VertexRangeError):
+                    solver.maker_wins(0, 1 << (5 + v), maker_first, maker_first)
+                fresh = GameSolver(g, dm, 1)
+                assert solver.maker_wins(1 << v, 0, False, True) == fresh.maker_wins(1 << v, 0, False, True)
+                assert solver.outcome() == fresh.outcome()
+
     def test_player_to_move_derivation(self):
         pos = GamePosition(frozenset({0}), frozenset({1}), Player.MAKER)
         assert pos.player_to_move is Player.MAKER
@@ -130,6 +162,12 @@ class TestOutcome:
         solver.move_counts()
         assert solver.stats.count_nodes <= 30_000
 
+    def test_memo_hits_counted(self):
+        g, dm = family("cycle", n=12)
+        solver = GameSolver(g, dm, 1)
+        solver.outcome()
+        assert solver.stats.tt_hits > 0
+
     def test_matches_naive_oracle_on_atlas(self):
         for g in connected_graph_atlas(max_n=5, min_n=2):
             dm = all_pairs_distances(g)
@@ -155,6 +193,20 @@ class TestOutcome:
 
 
 class TestCappedSearch:
+    def test_entry_positions(self):
+        # K1,3 at k=1: the masks are the leaf pairs {0,1} {0,2} {1,2}
+        g = build_graph(4, [(0, 3), (1, 3), (2, 3)])
+        solver = GameSolver(g, all_pairs_distances(g), 1)
+        assert solver.masks == (0b011, 0b101, 0b110)
+        # Breaker already owns {1,2}; Maker already hits every mask
+        for maker, breaker, wins in ((0b001, 0b110, False), (0b011, 0b100, True)):
+            for maker_to_move in (True, False):
+                assert solver._searcher({}, SolverStats())(maker, breaker, maker_to_move) is wins
+                for cap_maker in (True, False):
+                    for cap in range(4):
+                        search = solver._searcher({}, SolverStats(), cap, cap_maker)
+                        assert search(maker, breaker, maker_to_move) is wins, (maker, maker_to_move, cap_maker, cap)
+
     def test_midgame_positions_match_naive_oracle(self):
         # interior positions, where the cap cutoffs fire; the empty-board count test rarely reaches them
         rng = random.Random(707)
