@@ -181,7 +181,7 @@ def cmd_solve(args) -> int:
             entry["game"] = args.game
             entry["winner"] = (game.Player.MAKER if won else game.Player.BREAKER).value
         if args.certificates:
-            cert = game.certificate_fast_path(g, dm, k, size_cap=size_cap)
+            cert = game.certificate_fast_path(g, dm, k)
             entry["certificate"] = None if cert is None else {
                 "kind": cert.kind.value,
                 "reason": cert.reason,
@@ -234,6 +234,9 @@ def cmd_check(args) -> int:
         report["witnesses"] = list(check.witnesses)
     elif args.set is not None and args.gaps:
         k = _require_k(args)
+        # the gap conditions speak of runs between landmarks along 0-1-...-(n-1)-0
+        if g.n < 3 or g.edges != {(v, v + 1) for v in range(g.n - 1)} | {(0, g.n - 1)}:
+            raise MBResolveError(f"--gaps needs the cycle 0-1-...-{g.n - 1}-0 in vertex order")
         profile = resolve.GapProfile.from_landmarks(g.n, _vertex_list(args.set))
         report["k"] = k
         report["gaps"] = list(profile.gaps)
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="comma-separated landmark ids")
     p.add_argument("--pairs", help='pair system, e.g. "0-2,1-3"')
     p.add_argument("--twins", action="store_true", help="print twin classes")
-    p.add_argument("--gaps", action="store_true", help="check the cycle gap conditions on --set")
+    p.add_argument("--gaps", action="store_true", help="check the cycle gap conditions on --set (the graph must be the cycle 0-1-...-(n-1)-0)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify-paper", help="run the closed-form verification suite")

@@ -266,7 +266,7 @@ def _predict_cycle(spec: FamilySpec, k: int) -> frozenset[OutcomeSymbol]:
         return frozenset({N})
     if n % 2 == 0 or k >= 2:
         return frozenset({M})
-    # k == 1, odd n: verified for n in {5,7,9}; larger n only conjectured
+    # k == 1, odd n: verified for n in {5,7,9}; larger n has no closed form
     if n <= 9:
         return frozenset({M})
     raise NotCoveredError(f"level-1 outcome on the odd cycle of order {n} has no confirmed closed form")

@@ -69,8 +69,8 @@ from .resolve import (
     DEFAULT_SIZE_CAP,
     PairSystem,
     PairSystemKind,
+    _least_hitting_set,
     _require_in_range,
-    metric_dimension_k,
     minimal_pair_masks,
     search_pair_system,
 )
@@ -556,13 +556,7 @@ def jump_report(graph: Graph, dm: DistanceMatrix) -> JumpReport:
     )
 
 
-def certificate_fast_path(
-    graph: Graph,
-    dm: DistanceMatrix,
-    k: int,
-    *,
-    size_cap: int | None = None,
-) -> Certificate | None:
+def certificate_fast_path(graph: Graph, dm: DistanceMatrix, k: int) -> Certificate | None:
     """Cheap structural outcome bounds; used to cross-check the solver."""
     tp = twin_partition(graph)
     big = tp.classes_of_size(4)
@@ -577,11 +571,11 @@ def certificate_fast_path(
             kind=CertificateKind.FORCED_B,
             reason=f"two twin classes of size >= 3: {list(threes[0])}, {list(threes[1])}",
         )
-    dim = metric_dimension_k(dm, k, size_cap=size_cap).value
-    if dim >= math.ceil(graph.n / 2) + 1:
+    half = math.ceil(graph.n / 2)
+    if _least_hitting_set(minimal_pair_masks(dm, k), half) is None:
         return Certificate(
             kind=CertificateKind.FORCED_B,
-            reason=f"dimension {dim} exceeds half the order ({graph.n})",
+            reason=f"dimension exceeds half the order ({graph.n}): no resolving set of {half} vertices",
         )
     found = search_pair_system(dm, k)
     if found is not None:

@@ -1,12 +1,13 @@
 """Distance-k resolving machinery.
 
-Resolving checks via partition refinement, pair-resolver sets,
-exact distance-k metric dimension, pair systems (pairing / quasi-pairing)
-and the cycle gap conditions.
+Resolving checks, pair-resolver sets, exact distance-k metric dimension,
+pair systems (pairing / quasi-pairing) and the cycle gap conditions.
 
 A landmark set S resolves at truncation k exactly when it intersects the
-pair-resolver set R_k{x,y} of every vertex pair, so most hot paths here work
-on precomputed bitmasks of those sets.
+pair-resolver set R_k{x,y} of every vertex pair.  One cached table holds
+those sets as bitmasks; the resolving check, the pair-resolver sets and the
+minimal masks all read it, and the dimension is one hitting-set search over
+the minimal masks.
 
 Quantifier note: a quasi-pairing system requires one fixed completion vertex
 that works for every transversal (exists-v for-all-Z); the weaker for-all-Z
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CycleTooSmallError,
@@ -31,7 +33,7 @@ from .errors import (
     TooManyPairsError,
     VertexRangeError,
 )
-from .graph import DistanceMatrix, truncated_distance
+from .graph import DistanceMatrix
 
 DEFAULT_SIZE_CAP = 18
 MAX_PAIR_SYSTEM = 20
@@ -44,23 +46,25 @@ def _require_in_range(n: int, vertices: Iterable[int], what: str) -> None:
         raise VertexRangeError(f"{what} outside 0..{n - 1}: {outside}")
 
 
-def _refine(dm: DistanceMatrix, k: int, landmarks: Iterable[int]) -> list[list[int]]:
-    blocks = [list(range(dm.n))]
+@lru_cache(maxsize=256)
+def _pair_table(dm: DistanceMatrix, k: int) -> Mapping[tuple[int, int], int]:
+    """R_k{x,y} as a bitmask for every pair x < y, in lexicographic pair order (read-only)."""
+    if k < 1:
+        raise ValueError(f"truncation parameter k must be >= 1, got {k}")
+    n = dm.n
     cap = k + 1
-    for u in landmarks:
-        row = dm.dist[u]
-        new_blocks = []
-        for block in blocks:
-            if len(block) == 1:
-                new_blocks.append(block)
-                continue
-            groups: dict[int, list[int]] = {}
-            for v in block:
-                d = row[v]
-                groups.setdefault(d if d <= k else cap, []).append(v)
-            new_blocks.extend(groups.values())
-        blocks = new_blocks
-    return blocks
+    trunc = [tuple(d if d <= k else cap for d in row) for row in dm.dist]
+    table = {}
+    for x in range(n):
+        tx = trunc[x]
+        for y in range(x + 1, n):
+            ty = trunc[y]
+            m = 0
+            for z in range(n):
+                if tx[z] != ty[z]:
+                    m |= 1 << z
+            table[x, y] = m
+    return MappingProxyType(table)
 
 
 class ResolveCheck(NamedTuple):
@@ -69,20 +73,16 @@ class ResolveCheck(NamedTuple):
 
 
 def is_resolving(dm: DistanceMatrix, k: int, landmarks: Iterable[int]) -> ResolveCheck:
-    """True iff the code map is injective; on failure returns one unresolved pair."""
-    if k < 1:
-        raise ValueError(f"truncation parameter k must be >= 1, got {k}")
-    landmarks = sorted(set(landmarks))
+    """True iff the set hits every pair-resolver set; on failure, the least pair it misses."""
+    table = _pair_table(dm, k)
+    landmarks = set(landmarks)
     _require_in_range(dm.n, landmarks, "landmarks")
-    blocks = _refine(dm, k, landmarks)
-    witness = None
-    for block in blocks:
-        if len(block) > 1:
-            a, b = sorted(block)[:2]
-            if witness is None or (a, b) < witness:
-                witness = (a, b)
-    if witness is not None:
-        return ResolveCheck(False, witness)
+    set_mask = 0
+    for v in landmarks:
+        set_mask |= 1 << v
+    for pair, m in table.items():
+        if not m & set_mask:
+            return ResolveCheck(False, pair)
     return ResolveCheck(True, None)
 
 
@@ -90,10 +90,10 @@ def pair_resolver_set(dm: DistanceMatrix, k: int, x: int, y: int) -> frozenset[i
     """Vertices whose truncated distance separates x from y."""
     if x == y:
         raise SameVertexError(f"pair must be two distinct vertices, got ({x},{y})")
-    return frozenset(
-        z for z in range(dm.n)
-        if truncated_distance(dm, k, x, z) != truncated_distance(dm, k, y, z)
-    )
+    table = _pair_table(dm, k)
+    _require_in_range(dm.n, (x, y), "pair vertices")
+    m = table[min(x, y), max(x, y)]
+    return frozenset(z for z in range(dm.n) if m >> z & 1)
 
 
 @lru_cache(maxsize=256)
@@ -104,22 +104,7 @@ def minimal_pair_masks(dm: DistanceMatrix, k: int) -> tuple[int, ...]:
     masks; the masks are also exactly the minimal vertex sets whose removal
     (capture by a blocker) makes resolution impossible.
     """
-    if k < 1:
-        raise ValueError(f"truncation parameter k must be >= 1, got {k}")
-    n = dm.n
-    cap = k + 1
-    trunc = [tuple(d if d <= k else cap for d in row) for row in dm.dist]
-    masks = set()
-    for x in range(n):
-        tx = trunc[x]
-        for y in range(x + 1, n):
-            ty = trunc[y]
-            m = 0
-            for z in range(n):
-                if tx[z] != ty[z]:
-                    m |= 1 << z
-            masks.add(m)
-    ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
+    ordered = sorted(set(_pair_table(dm, k).values()), key=lambda m: (m.bit_count(), m))
     minimal: list[int] = []
     for m in ordered:
         if not any(kept & ~m == 0 for kept in minimal):
@@ -143,64 +128,70 @@ class DimResult(NamedTuple):
 def metric_dimension_k(dm: DistanceMatrix, k: int, *, size_cap: int | None = None) -> DimResult:
     """Exact distance-k metric dimension with the lexicographically least witness.
 
-    Searches cardinalities upward from the twin lower bound; feasibility at
-    each size is a branch-and-bound on the smallest unhit pair mask.
+    Counts up from the twin lower bound and returns the first size at which
+    _least_hitting_set finds a set.
     """
     cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
     if dm.n > cap:
         raise SizeCapError(dm.n, cap)
     masks = minimal_pair_masks(dm, k)
-    if not masks:
-        return DimResult(0, ())
-    # greedy packing of pairwise-disjoint masks lower-bounds the hitting
-    # number; the twin bound (all but one vertex per twin class) is sharper
-    # for classes of three or more.  The 2-masks are exactly the twin pairs,
-    # so each one's high bit marks a twin that is not the least of its class.
-    packing = 0
-    packed = 0
+    # a resolving set holds all but one vertex of each twin class.  The
+    # 2-masks are exactly the twin pairs, so each one's high bit marks a twin
+    # that is not the least of its class.
     twins_above_least = 0
     for m in masks:
-        if not m & packed:
-            packing += 1
-            packed |= m
         if m.bit_count() == 2:
             twins_above_least |= m & (m - 1)
-    lower = max(packing, twins_above_least.bit_count())
-    for size in range(lower, dm.n):
-        if _hitting_exists(masks, size):
-            witness = _lex_min_hitting(masks, dm.n, size)
-            if witness is not None:
-                return DimResult(size, witness)
-            break
-    # every (n-1)-subset resolves, and the scan finds any hitting set the
-    # branch-and-bound proved to exist
+    for size in range(twins_above_least.bit_count(), dm.n):
+        witness = _least_hitting_set(masks, size)
+        if witness is not None:
+            return DimResult(size, witness)
+    # every (n-1)-subset resolves
     raise InvariantError(f"no resolving set found below size {dm.n} at k={k}")
 
 
-def _hitting_exists(masks: Sequence[int], budget: int, hit: int = 0) -> bool:
-    pending = [m for m in masks if not m & hit]
-    if not pending:
-        return True
-    if budget == 0:
-        return False
-    branch = min(pending, key=lambda m: m.bit_count())
-    m = branch
-    while m:
-        bit = m & -m
-        if _hitting_exists(pending, budget - 1, hit | bit):
-            return True
-        m ^= bit
-    return False
+def _least_hitting_set(masks: Sequence[int], budget: int) -> tuple[int, ...] | None:
+    """A hitting set of at most budget vertices, ascending, or None if there is none.
 
+    Depth-first search over ascending vertex tuples, each next vertex tried
+    in increasing order; the first tuple that hits every mask is returned.
+    Two cutoffs end a branch:
 
-def _lex_min_hitting(masks: Sequence[int], n: int, size: int) -> tuple[int, ...] | None:
-    for combo in combinations(range(n), size):
-        s = 0
-        for v in combo:
-            s |= 1 << v
-        if mask_resolves(masks, s):
-            return combo
-    return None
+    - the next vertex is at most the highest vertex of the unhit mask whose
+      highest vertex is lowest, since later vertices are larger still and
+      that mask needs one of them;
+    - pairwise-disjoint unhit masks, each cut to the vertices not yet
+      passed, need distinct further vertices, so a greedy packing of more
+      masks than the budget left ends the branch.
+
+    Exactness: the ascending tuple of any hitting set of at most budget
+    vertices passes both cutoffs at each of its prefixes, so the search
+    returns None only when there is no such set.  At the least budget that
+    has one, every hitting set has exactly that size, the search meets them
+    in lexicographic order, and the first it returns is the least.
+    """
+
+    def extend(pending: list[int], low: int, budget: int) -> tuple[int, ...] | None:
+        if not pending:
+            return ()
+        passed = (1 << low) - 1
+        packed = 0
+        packing = 0
+        for m in pending:
+            if not m & packed:
+                packing += 1
+                if packing > budget:
+                    return None
+                packed |= m & ~passed
+        top = min(map(int.bit_length, pending)) - 1
+        for v in range(low, top + 1):
+            bit = 1 << v
+            found = extend([m for m in pending if not m & bit], v + 1, budget - 1)
+            if found is not None:
+                return (v,) + found
+        return None
+
+    return extend(list(masks), 0, budget)
 
 
 class PairSystemKind(Enum):

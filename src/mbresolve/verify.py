@@ -241,12 +241,14 @@ _closed_form(
 )
 
 
-@_check("cycles.level1-c11-record")
-def _cycles_c11(ctx: _Context):
-    expected = "record: level-1 outcome on the 11-cycle (conjectured M, no closed form)"
-    g = gen_family(FamilySpec.make("cycle", n=11))
-    symbol = outcome(g, all_pairs_distances(g), 1).symbol
-    return expected, f"computed outcome {symbol.letter}", True
+@_check("cycles.level1-odd-records")
+def _cycles_odd_records(ctx: _Context):
+    expected = "record: level-1 outcomes on the odd cycles of order 11, 13 and 15 (no closed form)"
+    found = []
+    for n in (11, 13, 15):
+        g = gen_family(FamilySpec.make("cycle", n=n))
+        found.append(f"C{n}:{outcome(g, all_pairs_distances(g), 1).symbol.letter}")
+    return expected, f"computed outcomes {' '.join(found)}", True
 
 
 _closed_form(
@@ -517,9 +519,9 @@ def _prop_gaps(ctx: _Context):
     return expected, actual, sound and sampled >= 200 and confirmed >= 50
 
 
-@_check("oracle.refinement-vs-direct")
+@_check("oracle.resolving-vs-direct")
 def _oracle_equiv(ctx: _Context):
-    expected = ("partition-refinement resolving test agrees with direct code injectivity on "
+    expected = ("pair-mask resolving test agrees with direct code injectivity on "
                 "every landmark subset of every connected graph of order <= 6")
     mismatches = 0
     checked = 0
@@ -528,13 +530,13 @@ def _oracle_equiv(ctx: _Context):
         for k in range(1, max(1, dm.diameter) + 1):
             for subset in range(1 << g.n):
                 landmarks = [v for v in range(g.n) if subset >> v & 1]
-                refinement = is_resolving(dm, k, landmarks).ok
+                resolving = is_resolving(dm, k, landmarks).ok
                 codes = {
                     tuple(truncated_distance(dm, k, v, u) for u in landmarks)
                     for v in range(g.n)
                 }
                 checked += 1
-                if refinement != (len(codes) == g.n):
+                if resolving != (len(codes) == g.n):
                     mismatches += 1
     return expected, f"{checked} subset checks; mismatches: {mismatches}", mismatches == 0
 

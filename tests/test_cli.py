@@ -162,6 +162,30 @@ class TestCheck:
         assert report["gaps"] == [1, 2]
         assert report["gap_conditions_hold"] is True
 
+    @pytest.mark.parametrize("source", [
+        ["--family", "path", "--n", "9"],
+        ["--family", "petersen"],
+        ["--family", "wheel", "--n", "9"],
+    ], ids=["path", "petersen", "wheel"])
+    def test_gap_mode_needs_the_cycle(self, source, capsys):
+        # on a path, {0,1,3,5} meets the gap conditions but does not resolve
+        assert main(["check", *source, "-k", "1", "--set", "0,1,3,5", "--gaps"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert "--gaps needs the cycle 0-1-...-" in captured.err
+
+    def test_gap_mode_needs_cycle_order(self, tmp_path, capsys):
+        # a 9-cycle whose labels run 0-2-4-6-8-1-3-5-7 around it
+        order = [0, 2, 4, 6, 8, 1, 3, 5, 7]
+        path = tmp_path / "c9.graph"
+        path.write_text("n 9\n" + "".join(f"{u} {v}\n" for u, v in zip(order, order[1:] + order[:1])))
+        argv = ["check", "--file", str(path), "-k", "1", "--set", "0,1,3,5"]
+        code, report = run_json(capsys, *argv)
+        assert code == 0 and report["resolving"] is False
+        code, out = run(capsys, *argv, "--gaps")
+        assert code == 2 and out == ""
+
     def test_pairs_overlap_exit_code(self, capsys):
         code, _ = run(capsys, "check", "--family", "cycle", "--n", "5", "-k", "1", "--pairs", "0-2,2-4")
         assert code == 2

@@ -5,6 +5,7 @@ import shlex
 from pathlib import Path
 
 from mbresolve.cli import main
+from mbresolve.verify import _REGISTRY
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -30,3 +31,12 @@ def test_library_snippet_runs():
     exec(_block("Library use", "python"), namespace)
     assert namespace["out"].symbol.letter == "N"
     assert namespace["counts"].defined().keys() == {"nrk", "nprime_rk"}
+
+
+def test_check_counts_match_registry():
+    # README: "verify-paper --level quick ... # 27 checks", "--level full ... # 29 checks"
+    quick = sum(1 for _, level, _ in _REGISTRY if level == "quick")
+    for level, count in (("quick", quick), ("full", len(_REGISTRY))):
+        stated = re.search(rf"verify-paper --level {level}\b.*?# (\d+) checks", README)
+        assert stated is not None, level
+        assert int(stated.group(1)) == count, level

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mbresolve.families import FamilySpec, gen_family, random_connected_graph
 from mbresolve.graph import all_pairs_distances, truncated_distance, twin_partition
 from mbresolve.resolve import (
-    _refine,
     GapProfile,
     cycle_gap_check,
     is_resolving,
@@ -59,7 +58,7 @@ def test_resolving_monotone_in_k_and_superset(seed):
 
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
-def test_refinement_agrees_with_direct_codes(seed):
+def test_resolving_agrees_with_direct_codes(seed):
     rng = random.Random(seed ^ 0xC0DE)
     g = graph_from(seed)
     dm = all_pairs_distances(g)
@@ -67,21 +66,6 @@ def test_refinement_agrees_with_direct_codes(seed):
         k = rng.randint(1, max(1, dm.diameter))
         landmarks = rng.sample(range(g.n), rng.randint(0, g.n))
         assert is_resolving(dm, k, landmarks).ok == direct_is_resolving(dm, k, landmarks)
-
-
-@given(seed=st.integers(0, 10**6))
-@settings(max_examples=30, deadline=None)
-def test_partition_refinement_never_merges(seed):
-    rng = random.Random(seed ^ 0xBEEF)
-    g = graph_from(seed)
-    dm = all_pairs_distances(g)
-    k = rng.randint(1, max(1, dm.diameter - 1))
-    landmarks = rng.sample(range(g.n), rng.randint(1, g.n - 1)) if g.n > 1 else [0]
-    base = _refine(dm, k, landmarks)
-    extra = rng.randrange(g.n)
-    refined = _refine(dm, k, list(landmarks) + [extra])
-    for block in refined:
-        assert any(set(block) <= set(b) for b in base)
 
 
 def test_twin_pairs_must_be_hit_by_resolving_sets():

@@ -90,6 +90,13 @@ class TestPairResolverSet:
         with pytest.raises(SameVertexError):
             pair_resolver_set(dm, 1, 2, 2)
 
+    @pytest.mark.parametrize("pair", [(-1, 2), (0, 9), (2, 5)], ids=["negative", "too-large", "just-past-end"])
+    def test_vertex_out_of_range(self, pair):
+        # a negative id must not wrap around to the last vertex
+        _, dm = family_dm("path", n=5)
+        with pytest.raises(VertexRangeError):
+            pair_resolver_set(dm, 1, *pair)
+
     def test_matches_single_landmark_codes(self):
         g, dm = family_dm("cycle", n=6)
         for x in range(g.n):
@@ -160,9 +167,14 @@ class TestMetricDimension:
         ]:
             _, dm = family_dm(family, **kw)
             assert metric_dimension_k(dm, k) == brute_force_dim(dm, k)
+        # value and lexicographically least witness on every small graph and level
+        for g in connected_graph_atlas(max_n=6):
+            dm = all_pairs_distances(g)
+            for k in range(1, max(1, dm.diameter) + 1):
+                assert metric_dimension_k(dm, k) == brute_force_dim(dm, k), (sorted(g.edges), k)
 
     def test_missed_witness_raises(self, monkeypatch):
-        monkeypatch.setattr(resolve, "_lex_min_hitting", lambda masks, n, size: None)
+        monkeypatch.setattr(resolve, "_least_hitting_set", lambda masks, budget: None)
         _, dm = family_dm("thm_d")
         with pytest.raises(InvariantError):
             metric_dimension_k(dm, 1)
