@@ -157,6 +157,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.counts and args.game != "both":
+        raise MBResolveError("--counts needs --game both: the count names depend on both games' winners")
     size_cap = _flag_or_env(args.max_n, ENV_MAX_N)
     tt = _flag_or_env(args.tt_entries, ENV_TT_ENTRIES)
     g, descriptor = _load_source(args)
@@ -217,6 +219,8 @@ def cmd_dim(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.gaps and args.set is None:
+        raise MBResolveError("--gaps checks the landmarks of --set; give --set")
     g, descriptor = _load_source(args)
     dm = all_pairs_distances(g)
     report: dict = {"graph": descriptor}
@@ -232,7 +236,7 @@ def cmd_check(args) -> int:
         report["k"] = k
         report["classification"] = check.kind.value
         report["witnesses"] = list(check.witnesses)
-    elif args.set is not None and args.gaps:
+    elif args.gaps:
         k = _require_k(args)
         # the gap conditions speak of runs between landmarks along 0-1-...-(n-1)-0
         if g.n < 3 or g.edges != {(v, v + 1) for v in range(g.n - 1)} | {(0, g.n - 1)}:
@@ -319,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", "--k", required=True, type=_level_or_all,
                    help='truncation level, or "all" for 1..diameter-1')
     p.add_argument("--game", choices=["m", "b", "both"], default="both")
-    p.add_argument("--counts", action="store_true", help="include optimal move counts")
+    p.add_argument("--counts", action="store_true", help="include optimal move counts (needs --game both)")
     p.add_argument("--certificates", action="store_true", help="include structural certificates")
     _add_max_n_flag(p)
     p.add_argument("--tt-entries", type=int, help=f"transposition table entry budget (env {ENV_TT_ENTRIES})")
@@ -334,9 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="resolving / pair-system / twin / gap checks")
     _add_source_flags(p)
     p.add_argument("-k", "--k", type=_level)
-    p.add_argument("--set", help="comma-separated landmark ids")
-    p.add_argument("--pairs", help='pair system, e.g. "0-2,1-3"')
-    p.add_argument("--twins", action="store_true", help="print twin classes")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--set", help="comma-separated landmark ids")
+    mode.add_argument("--pairs", help='pair system, e.g. "0-2,1-3"')
+    mode.add_argument("--twins", action="store_true", help="print twin classes")
     p.add_argument("--gaps", action="store_true", help="check the cycle gap conditions on --set (the graph must be the cycle 0-1-...-(n-1)-0)")
     p.set_defaults(func=cmd_check)
 

@@ -2,17 +2,19 @@
 
 Each check compares solver output against a documented expectation (a family
 closed form, a known exact value, or an internal consistency law) and reports
-pass/fail with its runtime.  The quick level stays within order 12; the full
+pass/fail with its runtime.  The quick level stays within order 15; the full
 level adds the order-14 double-jump realization and the exhaustive tree sweep.
 
-A family closed form is one table row: a list of instances, each solved at
-every level 1..stable_level and compared with families.predict_outcome.  The
-predictors alone say which (instance, level) pairs a closed form covers: a
-level whose predictor raises NotCoveredError is skipped, and a row that
-checks no pair fails.
-
-Record-style checks (values with no confirmed closed form) always pass and
-carry the computed value so runs archive the data.
+Most checks are rows of two tables.  A family row solves each of its
+instances with jump_report at every level 1..stable_level, so an outcome that
+falls with the level fails it, and compares each level with
+families.predict_outcome; a row that states a count law also compares the
+winner move counts with families.predicted_counts.  The predictors alone say
+which levels a closed form covers, and a row that checks no level fails.  The
+result lists the row's jumps and records the computed symbol wherever the
+closed form leaves it open.  A property row counts the violations of one law
+over the shared property dataset, which ``properties.dataset`` records, and
+also fails if it checks nothing.
 """
 
 from __future__ import annotations
@@ -38,16 +40,16 @@ from .families import (
 )
 from .game import (
     Certificate,
-    GameOutcome,
     GameSolver,
     MoveCounts,
     OutcomeSymbol,
     certificate_fast_path,
     jump_report,
+    move_counts,
     outcome,
 )
 from .graph import Graph, all_pairs_distances, truncated_distance
-from .resolve import GapProfile, cycle_gap_check, is_resolving, metric_dimension_k
+from .resolve import GapProfile, PairSystemKind, check_pair_system, cycle_gap_check, is_resolving, metric_dimension_k
 
 PROPERTY_SEED = 20240811
 PROPERTY_SAMPLE = 500
@@ -76,7 +78,7 @@ class SuiteResult:
 class _PropertyRecord:
     graph: Graph
     ks: list[int]
-    outcomes: dict[int, GameOutcome]
+    symbols: dict[int, OutcomeSymbol]
     counts: dict[int, MoveCounts]
     dims: dict[int, int]
     certs: dict[int, Certificate | None]
@@ -108,20 +110,20 @@ class _Context:
         for g in graphs:
             dm = all_pairs_distances(g)
             ks = list(range(1, dm.stable_level + 2))  # one level past stabilization
-            outcomes: dict[int, GameOutcome] = {}
+            symbols: dict[int, OutcomeSymbol] = {}
             counts: dict[int, MoveCounts] = {}
             dims: dict[int, int] = {}
             certs: dict[int, Certificate | None] = {}
             for k in ks:
                 solver = GameSolver(g, dm, k)
                 out = solver.outcome()
-                outcomes[k] = out
+                symbols[k] = out.symbol
                 counts[k] = solver.move_counts(out)
                 dims[k] = metric_dimension_k(dm, k).value
                 certs[k] = certificate_fast_path(g, dm, k)
             records.append(
                 _PropertyRecord(
-                    graph=g, ks=ks, outcomes=outcomes, counts=counts,
+                    graph=g, ks=ks, symbols=symbols, counts=counts,
                     dims=dims, certs=certs, stable_level=dm.stable_level,
                 )
             )
@@ -140,50 +142,44 @@ def _check(check_id: str, level: str = "quick"):
     return wrap
 
 
-def _closed_form(check_id: str, expected: str, specs) -> None:
-    """Register a table row: every spec against its closed form at levels 1..stable_level."""
+def _closed_form(check_id: str, expected: str, specs, *, counts: bool = False, level: str = "quick") -> None:
+    """Register a family row (see the module docstring); ``counts`` adds the count law."""
     specs = tuple(specs)
 
     def check(ctx: _Context) -> tuple[str, str, bool]:
         checked = skipped = 0
-        bad = []
+        bad, jumps, recorded = [], [], []
         for spec in specs:
+            name = spec.describe()
             g = gen_family(spec)
             dm = all_pairs_distances(g)
-            for k in range(1, dm.stable_level + 1):
+            report = jump_report(g, dm)
+            if report.jumps:
+                jumps.append(name + " " + " ".join(f"({k}, {a.letter}->{b.letter})" for k, a, b in report.jumps))
+            for k, out in report.outcomes:
                 try:
                     allowed = predict_outcome(spec, k)
                 except NotCoveredError:
+                    allowed = frozenset()
                     skipped += 1
-                    continue
-                symbol = outcome(g, dm, k).symbol
-                checked += 1
-                if symbol not in allowed:
-                    bad.append(f"{spec.describe()} k={k}:{symbol.letter}")
-        actual = (f"{checked} (instance, level) pairs checked, {skipped} without a closed form; "
-                  f"mismatches: {', '.join(bad) if bad else 'none'}")
+                else:
+                    checked += 1
+                    if out.symbol not in allowed:
+                        bad.append(f"{name} k={k}:{out.symbol.letter}")
+                if len(allowed) != 1:
+                    recorded.append(f"{name} k={k}:{out.symbol.letter}")
+                if counts:
+                    found = move_counts(g, dm, k, out).defined()
+                    if found != predicted_counts(spec, k, dim_value=metric_dimension_k(dm, k).value):
+                        bad.append(f"{name} k={k} counts {found}")
+        actual = f"{checked} (instance, level) pairs checked, {skipped} without a closed form"
+        if counts:
+            actual += f", {checked + skipped} with move counts"
+        actual += (f"; mismatches: {', '.join(bad) or 'none'}; jumps: {', '.join(jumps) or 'none'}; "
+                   f"recorded: {', '.join(recorded) or 'none'}")
         return expected, actual, checked > 0 and not bad
 
-    _REGISTRY.append((check_id, "quick", check))
-
-
-# -- known exact values --------------------------------------------------------
-
-
-@_check("petersen.outcome-and-counts")
-def _petersen(ctx: _Context):
-    expected = "outcome M at k=1 and k=2; winner counts 3 and 3 in both games"
-    spec = FamilySpec.make("petersen")
-    g = gen_family(spec)
-    dm = all_pairs_distances(g)
-    out1 = outcome(g, dm, 1)
-    out2 = outcome(g, dm, 2)
-    counts = GameSolver(g, dm, 1).move_counts().defined()
-    actual = (f"k=1:{out1.symbol.letter} k=2:{out2.symbol.letter} "
-              + " ".join(f"{name}={value}" for name, value in counts.items()))
-    ok = (out1.symbol is OutcomeSymbol.M and out2.symbol is OutcomeSymbol.M
-          and counts == predicted_counts(spec, 1))
-    return expected, actual, ok
+    _check(check_id, level)(check)
 
 
 def _partitions_up_to(total: int):
@@ -202,32 +198,27 @@ def _partitions_up_to(total: int):
 
 _MULTIPARTITE = tuple(FamilySpec.make("multipartite", parts=parts) for parts in _partitions_up_to(10))
 
+# -- family rows -----------------------------------------------------------------
+
+_closed_form(
+    "petersen.outcome-and-counts",
+    "outcome M at every level (the diameter is 2, so level 1 is untruncated); winner counts 3 "
+    "and 3 in both games",
+    [FamilySpec.make("petersen")],
+    counts=True,
+)
 _closed_form(
     "multipartite.outcome-table",
     "every complete multipartite graph of order <= 10 matches the closed-form case table",
     _MULTIPARTITE,
 )
-
-
-@_check("multipartite.move-counts")
-def _multipartite_counts(ctx: _Context):
-    expected = ("multipartite counts: breaker-win pairs (2,2); first-player-win pairs "
-                "(dimension, 2); maker-win pairs (dimension, dimension)")
-    bad = []
-    count = 0
-    for spec in _MULTIPARTITE:
-        g = gen_family(spec)
-        dm = all_pairs_distances(g)
-        solver = GameSolver(g, dm, 1)
-        counts = solver.move_counts(solver.outcome()).defined()
-        dim = metric_dimension_k(dm, 1).value
-        count += 1
-        if counts != predicted_counts(spec, 1, dim_value=dim):
-            bad.append((spec.get("parts"), counts))
-    actual = f"{count} part profiles checked; mismatches: {bad if bad else 'none'}"
-    return expected, actual, not bad
-
-
+_closed_form(
+    "multipartite.move-counts",
+    "multipartite counts: breaker-win pairs (2,2); first-player-win pairs (dimension, 2); "
+    "maker-win pairs (dimension, dimension)",
+    _MULTIPARTITE,
+    counts=True,
+)
 _closed_form(
     "cycles.closed-form",
     "cycle outcomes for 3 <= n <= 11 at every covered level: N at n=3; M for even n; M for "
@@ -239,36 +230,22 @@ _closed_form(
     "outcome M on the odd cycles of order 5, 7 and 9 at every level, level 1 included",
     (FamilySpec.make("cycle", n=n) for n in (5, 7, 9)),
 )
-
-
-@_check("cycles.level1-odd-records")
-def _cycles_odd_records(ctx: _Context):
-    expected = "record: level-1 outcomes on the odd cycles of order 11, 13 and 15 (no closed form)"
-    found = []
-    for n in (11, 13, 15):
-        g = gen_family(FamilySpec.make("cycle", n=n))
-        found.append(f"C{n}:{outcome(g, all_pairs_distances(g), 1).symbol.letter}")
-    return expected, f"computed outcomes {' '.join(found)}", True
-
-
+_closed_form(
+    "cycles.level1-odd-records",
+    "outcome M on the odd cycles of order 11, 13 and 15 from level 2 upward; level 1 has no "
+    "closed form and is recorded",
+    (FamilySpec.make("cycle", n=n) for n in (11, 13, 15)),
+)
 _closed_form(
     "wheels.small",
     "wheel outcomes: B on the 3-wheel; M for rim orders 4..8",
     (FamilySpec.make("wheel", n=n) for n in range(3, 9)),
 )
-
-
-@_check("wheels.rim9-bound")
-def _wheel9(ctx: _Context):
-    expected = "9-rim wheel outcome within {M, N}; value recorded"
-    g = gen_family(FamilySpec.make("wheel", n=9))
-    symbol = outcome(g, all_pairs_distances(g), 1).symbol
-    return expected, f"computed outcome {symbol.letter}", symbol in (OutcomeSymbol.M, OutcomeSymbol.N)
-
-
-# -- realization families --------------------------------------------------------
-
-
+_closed_form(
+    "wheels.rim9-bound",
+    "9-rim wheel outcome within {M, N}; value recorded",
+    [FamilySpec.make("wheel", n=9)],
+)
 _closed_form("realizations.thm_a", "subdivided star, alpha=3: outcome M at every level",
              [FamilySpec.make("thm_a", alpha=3)])
 _closed_form("realizations.thm_b", "triple-leaf subdivided star, alpha=4: outcome N at every level",
@@ -281,40 +258,11 @@ _closed_form("realizations.thm_e", "twin-leaf spine with a triple end, alpha=3: 
              [FamilySpec.make("thm_e", alpha=3)])
 _closed_form("realizations.thm_f", "twin-leaf spine, alpha=4: B at level 1, then M",
              [FamilySpec.make("thm_f", alpha=4)])
+_closed_form("realizations.fig1", "branched gadget, alpha=2: B at level 1, N at level 2, then M",
+             [FamilySpec.make("fig1", alpha=2)], level="full")
 
 
-@_check("realizations.jumps")
-def _jumps(ctx: _Context):
-    expected = "transition levels: twin-leaf 3-spine jumps (2, N->M); twin-leaf spine alpha=4 jumps (2, B->M)"
-    results = []
-    ok = True
-    for fam, kw, want in (
-        ("thm_d", {}, ((2, OutcomeSymbol.N, OutcomeSymbol.M),)),
-        ("thm_f", {"alpha": 4}, ((2, OutcomeSymbol.B, OutcomeSymbol.M),)),
-    ):
-        g = gen_family(FamilySpec.make(fam, **kw))
-        report = jump_report(g, all_pairs_distances(g))
-        results.append(f"{fam}:{[(k, a.letter, b.letter) for k, a, b in report.jumps]}")
-        if report.jumps != want:
-            ok = False
-    return expected, " ".join(results), ok
-
-
-@_check("realizations.fig1", level="full")
-def _fig1(ctx: _Context):
-    expected = ("branched gadget, alpha=2: outcomes B, N, M, M over levels 1..4 with "
-                "jumps (2, B->N) and (3, N->M)")
-    spec = FamilySpec.make("fig1", alpha=2)
-    g = gen_family(spec)
-    report = jump_report(g, all_pairs_distances(g))
-    symbols = [(k, out.symbol.letter) for k, out in report.outcomes]
-    jumps = tuple((k, a, b) for k, a, b in report.jumps)
-    ok = (
-        symbols == [(1, "B"), (2, "N"), (3, "M"), (4, "M")]
-        and jumps == ((2, OutcomeSymbol.B, OutcomeSymbol.N), (3, OutcomeSymbol.N, OutcomeSymbol.M))
-    )
-    actual = f"outcomes {symbols}; jumps {[(k, a.letter, b.letter) for k, a, b in jumps]}"
-    return expected, actual, ok
+# -- known exact values --------------------------------------------------------
 
 
 @_check("thm_d.dimension")
@@ -329,8 +277,6 @@ def _thm_d_dim(ctx: _Context):
 def _thm_d_quasi(ctx: _Context):
     expected = ("twin-leaf 3-spine: pairs {v2,v3},{l1,l1p},{l2,l2p},{l3,l3p} form a "
                 "quasi-pairing with completion vertex v1")
-    from .resolve import check_pair_system, PairSystemKind
-
     g = gen_family(FamilySpec.make("thm_d"))
     dm = all_pairs_distances(g)
     check = check_pair_system(dm, 1, [(1, 2), (3, 4), (5, 6), (7, 8)])
@@ -388,108 +334,78 @@ def _prop_dataset(ctx: _Context):
     return expected, f"{len(records)} graphs, {sum(len(rec.ks) for rec in records)} solves", True
 
 
-@_check("properties.outcome-monotone")
-def _prop_outcome_monotone(ctx: _Context):
-    expected = ("outcome symbol never decreases with the level and is stable from "
-                "level diameter-1 upward (sampled + tree graphs of order <= 7)")
-    bad = 0
-    total = 0
-    for rec in ctx.property_data():
-        total += 1
-        seq = [rec.outcomes[k].symbol for k in rec.ks]
-        if any(a > b for a, b in zip(seq, seq[1:])):
-            bad += 1
-            continue
-        stable = {rec.outcomes[k].symbol for k in rec.ks if k >= rec.stable_level}
-        if len(stable) != 1:
-            bad += 1
-    return expected, f"{total} graphs checked; violations: {bad}", bad == 0
+def _property(check_id: str, expected: str, unit: str, violated) -> None:
+    """Register a property row: ``violated(record)`` yields one flag per checked unit, True on a violation."""
+
+    def check(ctx: _Context) -> tuple[str, str, bool]:
+        flags = [flag for rec in ctx.property_data() for flag in violated(rec)]
+        bad = sum(flags)
+        return expected, f"{len(flags)} {unit} checked; violations: {bad}", bool(flags) and bad == 0
+
+    _check(check_id)(check)
 
 
-@_check("properties.extra-move")
-def _prop_extra_move(ctx: _Context):
-    expected = "no graph lets the games' winners be Breaker first-game but Maker second-game"
-    bad = 0
-    total = 0
-    for rec in ctx.property_data():
-        for k in rec.ks:
-            total += 1
-            out = rec.outcomes[k]
-            if out.m_game_winner.value == "Breaker" and out.b_game_winner.value == "Maker":
-                bad += 1
-    return expected, f"{total} solves checked; violations: {bad}", bad == 0
+def _steps(rec: _PropertyRecord, values: dict) -> list[tuple]:
+    """(value at k, value at k+1) over the record's levels."""
+    seq = [values[k] for k in rec.ks]
+    return list(zip(seq, seq[1:]))
 
 
-@_check("properties.dimension-monotone")
-def _prop_dim_monotone(ctx: _Context):
-    expected = "distance-k dimension never increases with the level"
-    bad = 0
-    total = 0
-    for rec in ctx.property_data():
-        total += 1
-        seq = [rec.dims[k] for k in rec.ks]
-        if any(a < b for a, b in zip(seq, seq[1:])):
-            bad += 1
-    return expected, f"{total} graphs checked; violations: {bad}", bad == 0
+def _unstable(rec: _PropertyRecord, values: dict) -> bool:
+    """Whether the values differ between levels from stable_level upward."""
+    return len({values[k] for k in rec.ks if k >= rec.stable_level}) != 1
 
 
-@_check("properties.dimension-stabilizes")
-def _prop_dim_stable(ctx: _Context):
-    expected = "distance-k dimension equals the untruncated dimension from level diameter-1 upward"
-    bad = 0
-    total = 0
-    for rec in ctx.property_data():
-        total += 1
-        values = {rec.dims[k] for k in rec.ks if k >= rec.stable_level}
-        if len(values) != 1:
-            bad += 1
-    return expected, f"{total} graphs checked; violations: {bad}", bad == 0
+def _count_bounds_broken(rec: _PropertyRecord):
+    half = rec.graph.n // 2
+    for k in rec.ks:
+        symbol = rec.symbols[k]
+        counts, nxt = rec.counts[k], rec.counts.get(k + 1)
+        same_next = nxt is not None and rec.symbols[k + 1] is symbol
+        if symbol is OutcomeSymbol.M:
+            yield (not rec.dims[k] <= counts.mrk <= counts.mprime_rk <= half
+                   or same_next and (nxt.mrk > counts.mrk or nxt.mprime_rk > counts.mprime_rk))
+        elif symbol is OutcomeSymbol.B:
+            yield (not counts.bprime_rk <= counts.brk <= half
+                   or same_next and (nxt.brk < counts.brk or nxt.bprime_rk < counts.bprime_rk))
+        else:
+            yield False
 
 
-@_check("properties.certificates-sound")
-def _prop_certs(ctx: _Context):
-    expected = "structural certificates never contradict the exhaustive solver"
-    bad = 0
-    found = 0
-    for rec in ctx.property_data():
-        for k in rec.ks:
-            cert = rec.certs[k]
-            if cert is None:
-                continue
-            found += 1
-            if rec.outcomes[k].symbol not in cert.allowed_symbols:
-                bad += 1
-    return expected, f"{found} certificates found; contradictions: {bad}", bad == 0
-
-
-@_check("properties.count-bounds")
-def _prop_count_bounds(ctx: _Context):
-    expected = ("maker wins: dim <= first-game count <= second-game count <= floor(n/2), "
-                "counts non-increasing in the level; breaker wins: second-game count <= "
-                "first-game count <= floor(n/2), counts non-decreasing in the level")
-    bad = 0
-    total = 0
-    for rec in ctx.property_data():
-        half = rec.graph.n // 2
-        for k in rec.ks:
-            total += 1
-            sym = rec.outcomes[k].symbol
-            counts = rec.counts[k]
-            if sym is OutcomeSymbol.M:
-                if not (rec.dims[k] <= counts.mrk <= counts.mprime_rk <= half):
-                    bad += 1
-                nxt = rec.counts.get(k + 1)
-                if nxt is not None and rec.outcomes[k + 1].symbol is OutcomeSymbol.M:
-                    if nxt.mrk > counts.mrk or nxt.mprime_rk > counts.mprime_rk:
-                        bad += 1
-            elif sym is OutcomeSymbol.B:
-                if not (counts.bprime_rk <= counts.brk <= half):
-                    bad += 1
-                nxt = rec.counts.get(k + 1)
-                if nxt is not None and rec.outcomes[k + 1].symbol is OutcomeSymbol.B:
-                    if nxt.brk < counts.brk or nxt.bprime_rk < counts.bprime_rk:
-                        bad += 1
-    return expected, f"{total} solves checked; violations: {bad}", bad == 0
+_property(
+    "properties.outcome-monotone",
+    "outcome symbol never decreases with the level and is stable from level diameter-1 upward "
+    "(sampled + tree graphs of order <= 7)",
+    "graphs",
+    lambda rec: [any(a > b for a, b in _steps(rec, rec.symbols)) or _unstable(rec, rec.symbols)],
+)
+_property(
+    "properties.dimension-monotone",
+    "distance-k dimension never increases with the level",
+    "graphs",
+    lambda rec: [any(a < b for a, b in _steps(rec, rec.dims))],
+)
+_property(
+    "properties.dimension-stabilizes",
+    "distance-k dimension equals the untruncated dimension from level diameter-1 upward",
+    "graphs",
+    lambda rec: [_unstable(rec, rec.dims)],
+)
+_property(
+    "properties.certificates-sound",
+    "structural certificates never contradict the exhaustive solver",
+    "certificates",
+    lambda rec: (rec.symbols[k] not in cert.allowed_symbols
+                 for k, cert in rec.certs.items() if cert is not None),
+)
+_property(
+    "properties.count-bounds",
+    "maker wins: dim <= first-game count <= second-game count <= floor(n/2), counts "
+    "non-increasing in the level; breaker wins: second-game count <= first-game count <= "
+    "floor(n/2), counts non-decreasing in the level",
+    "solves",
+    _count_bounds_broken,
+)
 
 
 @_check("properties.gap-conditions-sound")

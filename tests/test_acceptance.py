@@ -6,6 +6,7 @@ id runs them all at the full level.  Every expected value is exact
 line; pytest failure output carries the details when an assertion trips.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -13,17 +14,22 @@ import pytest
 from mbresolve import families, verify
 from mbresolve.errors import InvariantError, NotCoveredError
 from mbresolve.families import connected_graph_atlas
-from mbresolve.game import OutcomeSymbol
+from mbresolve.game import Certificate, CertificateKind, MoveCounts, OutcomeSymbol
 from mbresolve.graph import all_pairs_distances
 from mbresolve.resolve import is_resolving
 
 from oracles import direct_is_resolving
 
 CHECK_IDS = [check_id for check_id, _, _ in verify._REGISTRY]
-CLOSED_FORM_IDS = [
-    "multipartite.outcome-table", "cycles.closed-form", "cycles.level1-small-odd", "wheels.small",
-    "realizations.thm_a", "realizations.thm_b", "realizations.star4", "realizations.thm_d",
-    "realizations.thm_e", "realizations.thm_f",
+FAMILY_IDS = [
+    "petersen.outcome-and-counts", "multipartite.outcome-table", "multipartite.move-counts",
+    "cycles.closed-form", "cycles.level1-small-odd", "cycles.level1-odd-records", "wheels.small",
+    "wheels.rim9-bound", "realizations.thm_a", "realizations.thm_b", "realizations.star4",
+    "realizations.thm_d", "realizations.thm_e", "realizations.thm_f", "realizations.fig1",
+]
+PROPERTY_IDS = [
+    "properties.outcome-monotone", "properties.dimension-monotone", "properties.dimension-stabilizes",
+    "properties.certificates-sound", "properties.count-bounds",
 ]
 
 
@@ -45,6 +51,10 @@ def test_verify_check(full_suite, check_id):
     ceiling = 1 if check_id.startswith("thm_d.") else 60
     assert result.seconds < ceiling, f"{result.seconds:.2f}s over the {ceiling}s ceiling"
     report(check_id, result.actual)
+
+
+def test_check_ids_are_unique():
+    assert len(set(CHECK_IDS)) == len(CHECK_IDS)
 
 
 def test_raising_check_fails_alone(monkeypatch):
@@ -73,9 +83,57 @@ def _not_covered(spec, k):
 ], ids=["always-B", "complement", "not-covered"])
 def test_closed_form_rows_follow_the_predictor(monkeypatch, predictor, passing):
     monkeypatch.setattr(verify, "predict_outcome", predictor)
-    suite = verify.run_suite(level="quick", only=CLOSED_FORM_IDS)
-    assert [c.check_id for c in suite.checks] == CLOSED_FORM_IDS
+    suite = verify.run_suite(level="full", only=FAMILY_IDS)
+    assert [c.check_id for c in suite.checks] == FAMILY_IDS
     assert [c.check_id for c in suite.checks if c.passed] == passing
+
+
+def test_family_rows_follow_the_count_law(monkeypatch):
+    def off_by_one(spec, k, dim_value=None):
+        law = families.predicted_counts(spec, k, dim_value=dim_value)
+        return {name: value + 1 for name, value in law.items()}
+
+    monkeypatch.setattr(verify, "predicted_counts", off_by_one)
+    suite = verify.run_suite(level="full", only=FAMILY_IDS)
+    assert [c.check_id for c in suite.checks if not c.passed] == [
+        "petersen.outcome-and-counts", "multipartite.move-counts",
+    ]
+
+
+# A record of a 4-vertex graph that keeps every property: outcome M at each
+# level, dimension 1, counts 2 and 2 (= floor(4/2)), one certificate of {M, N}.
+_SOUND = verify._PropertyRecord(
+    graph=families.gen_family(families.FamilySpec.make("path", n=4)),
+    ks=[1, 2, 3],
+    symbols={1: OutcomeSymbol.M, 2: OutcomeSymbol.M, 3: OutcomeSymbol.M},
+    counts={k: MoveCounts(mrk=2, mprime_rk=2) for k in (1, 2, 3)},
+    dims={1: 1, 2: 1, 3: 1},
+    certs={1: Certificate(CertificateKind.M_OR_N, "planted"), 2: None, 3: None},
+    stable_level=2,
+)
+
+
+@pytest.mark.parametrize("planted, failing", [
+    ({}, []),
+    ({"symbols": {1: OutcomeSymbol.M, 2: OutcomeSymbol.M, 3: OutcomeSymbol.N}}, ["properties.outcome-monotone"]),
+    ({"symbols": {1: OutcomeSymbol.N, 2: OutcomeSymbol.N, 3: OutcomeSymbol.M}}, ["properties.outcome-monotone"]),
+    ({"dims": {1: 1, 2: 2, 3: 2}}, ["properties.dimension-monotone"]),
+    ({"dims": {1: 2, 2: 2, 3: 1}}, ["properties.dimension-stabilizes"]),
+    ({"certs": {1: Certificate(CertificateKind.FORCED_B, "planted"), 2: None, 3: None}},
+     ["properties.certificates-sound"]),
+    ({"counts": {1: MoveCounts(mrk=2, mprime_rk=3), 2: MoveCounts(mrk=2, mprime_rk=2),
+                 3: MoveCounts(mrk=2, mprime_rk=2)}}, ["properties.count-bounds"]),
+    ({"counts": {1: MoveCounts(mrk=1, mprime_rk=1), 2: MoveCounts(mrk=1, mprime_rk=1),
+                 3: MoveCounts(mrk=2, mprime_rk=2)}}, ["properties.count-bounds"]),
+    ({"certs": {1: None, 2: None, 3: None}}, ["properties.certificates-sound"]),  # checks nothing
+], ids=["sound", "outcome-falls", "outcome-unstable", "dimension-rises", "dimension-unstable",
+        "certificate-contradicts", "count-above-half", "count-rises", "no-certificate"])
+def test_property_rows_catch_their_violation(monkeypatch, planted, failing):
+    record = dataclasses.replace(_SOUND, **planted)
+    monkeypatch.setattr(verify._Context, "property_data", lambda self: [record])
+    suite = verify.run_suite(level="quick", only=PROPERTY_IDS)
+    assert [c.check_id for c in suite.checks] == PROPERTY_IDS
+    assert [c.check_id for c in suite.checks if not c.passed] == failing
 
 
 def test_criterion_9_oracle_equivalence():

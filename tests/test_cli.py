@@ -290,8 +290,20 @@ class TestBadInput:
         (["solve", "--family", "path", "--n", "5", "-k", "x"], "positive integer or \"all\", got 'x'"),
         (["dim", "--family", "path", "--n", "5", "-k", "0"], "positive integer, got '0'"),
         (["check", "--family", "path", "--n", "5", "-k", "0", "--set", "1"], "positive integer, got '0'"),
+        (["solve", "--family", "cycle", "--n", "6", "-k", "1", "--game", "m", "--counts"], "--counts needs --game both"),
+        (["solve", "--family", "cycle", "--n", "6", "-k", "1", "--game", "b", "--counts"], "--counts needs --game both"),
+        (["check", "--family", "cycle", "--n", "6", "-k", "1", "--set", "0,1", "--pairs", "0-3,1-4,2-5"],
+         "argument --pairs: not allowed with argument --set"),
+        (["check", "--family", "cycle", "--n", "6", "--twins", "--set", "0"],
+         "argument --set: not allowed with argument --twins"),
+        (["check", "--family", "cycle", "--n", "6", "-k", "1", "--pairs", "0-3,1-4,2-5", "--twins"],
+         "argument --twins: not allowed with argument --pairs"),
+        (["check", "--family", "cycle", "--n", "6", "-k", "1", "--pairs", "0-3,1-4,2-5", "--gaps"],
+         "--gaps checks the landmarks of --set"),
+        (["check", "--family", "cycle", "--n", "6", "--twins", "--gaps"], "--gaps checks the landmarks of --set"),
     ], ids=["set-negative", "set-too-large", "gaps-set-too-large", "gaps-set-empty", "pairs-too-large",
-            "solve-k-zero", "solve-k-word", "dim-k-zero", "check-k-zero"])
+            "solve-k-zero", "solve-k-word", "dim-k-zero", "check-k-zero", "counts-m-game", "counts-b-game",
+            "set-and-pairs", "twins-and-set", "pairs-and-twins", "gaps-with-pairs", "gaps-with-twins"])
     def test_exit_two_with_message(self, argv, message, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
