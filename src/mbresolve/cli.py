@@ -230,7 +230,7 @@ def cmd_check(args) -> int:
             {"vertices": list(cls), "kind": kind.value}
             for cls, kind in zip(tp.classes, tp.kinds)
         ]
-    elif args.pairs:
+    elif args.pairs is not None:
         k = _require_k(args)
         check = resolve.check_pair_system(dm, k, _pair_list(args.pairs))
         report["k"] = k

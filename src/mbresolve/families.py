@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import networkx as nx
-
 from .errors import (
     DisconnectedError,
     FamilyParameterError,
@@ -467,6 +465,8 @@ def all_free_trees(n: int) -> Iterator[Graph]:
     if n == 2:
         yield build_graph(2, [(0, 1)])
         return
+    import networkx as nx  # imported here so that importing mbresolve does not load it
+
     for t in nx.nonisomorphic_trees(n):
         yield build_graph(n, list(t.edges()))
 
@@ -475,6 +475,8 @@ def connected_graph_atlas(max_n: int = 7, min_n: int = 1) -> list[Graph]:
     """All connected graphs with min_n <= order <= max_n, one per isomorphism class."""
     if not 1 <= min_n <= max_n <= 7:
         raise ValueError("atlas covers orders 1..7")
+    import networkx as nx  # imported here so that importing mbresolve does not load it
+
     out = []
     for ag in nx.generators.atlas.graph_atlas_g():
         n = ag.number_of_nodes()

@@ -20,9 +20,9 @@ Each node probes the memo first, then builds its list of the free parts of
 unhit masks from its parent's list and the vertex just claimed: a Maker claim
 drops the parts it hits, a Breaker claim clears her vertex from the rest.
 The same loop sums the potential and finds the threats below, and the danger
-scores and the packing read that list, so no node rescans every mask.
-Probing first is exact because the memo holds only nodes the scan did not
-settle.
+scores, the packing and the pairing cover read that list, so no node rescans
+every mask.  Probing first is exact because the memo holds only nodes the
+scan did not settle.
 
 Each node is a Maker-Breaker hypergraph game in which Breaker builds (she
 wins by claiming every free vertex of an unhit mask) and Maker blocks.  These
@@ -39,6 +39,16 @@ exact reductions are always on; each leaves every node's value unchanged:
   one of them.  Under a cap on Breaker with r claims left, Maker has won once
   every unhit mask has more than r free vertices: Breaker cannot fill a mask
   before her cap ends her play.
+- Pairing cutoff.  If disjoint pairs of free vertices put one pair inside
+  every free part (the cover rule of resolve.check_pair_system, applied to
+  the free parts), Maker has won whoever is to move: he answers a Breaker
+  claim on a pair with its partner and otherwise claims from a pair he has
+  not touched, so Breaker never fills a part.  Each of his claims touches a
+  new pair, so with p pairs he wins within p claims, and under a cap on
+  Maker with r claims left the cutoff fires only when p <= r; a cap on
+  Breaker only helps Maker.  The pairs come from a greedy cover, smallest
+  part first, which may miss a cover that exists but is exact whenever it
+  fires.
 - Threats.  An unhit mask with one free vertex is a threat: Breaker to move
   claims it and wins, and Maker to move must claim it, because any other move
   lets Breaker win at once.
@@ -304,6 +314,21 @@ class GameSolver:
         packing, smallest free part first, so the cutoff fires on a lower
         bound and is exact whenever it fires.
 
+        The pairing cutoff is the upper-bound twin of the packing.  Take the
+        free parts smallest first and give each part that holds no chosen
+        pair the two lowest of its vertices that no chosen pair uses; if
+        every part gets a pair, the pairs meet the cover rule of
+        resolve.check_pair_system on the free parts, and Maker wins by the
+        pairing strategy, whoever is to move: he answers a Breaker claim on a
+        pair with its partner and otherwise claims from a pair he has not
+        touched, so Breaker never owns a whole pair and never fills a part.
+        Each of his claims touches a new pair, so a cover of p pairs wins
+        within p claims; under a cap on Maker with r claims left the cutoff
+        fires only when p <= r, and the greedy cover stops once it passes r.
+        A part with fewer than two unused vertices ends the test, so a node
+        with a threat never fires it.  Like the other cutoffs it stores
+        nothing in the memo.
+
         At an expanded node with two or more moves, both sides try them in
         decreasing order of danger, the sum of 2^-|free part| over the free
         parts holding the vertex: Maker's claim lowers the potential by that
@@ -389,6 +414,24 @@ class GameSolver:
                         packed += 1
                         if packed > left:
                             return False  # Maker cannot hit every mask within his cap
+            else:
+                left = n  # no cap: a cover never reaches n pairs
+            if min_free > 1:
+                # pairing cutoff: a greedy cover, smallest part first
+                pending = ranked if maker_cap is not None else sorted(parts, key=int.bit_count)
+                paired = pairs = 0
+                while pending:
+                    rest = pending[0] & ~paired  # the first part that holds no chosen pair
+                    low = rest & -rest
+                    rest ^= low
+                    if not rest or pairs == left:
+                        break  # no pair fits in this part, or the cover outgrows Maker's cap
+                    pair = low | (rest & -rest)
+                    paired |= pair
+                    pairs += 1
+                    pending = [part for part in pending if part & pair != pair]
+                else:
+                    return True  # Maker wins by the pairing strategy, within that many claims
             tally.nodes += 1
             if maker_to_move and min_free == 1:
                 # forced, and exempt from twin pruning: that would drop this

@@ -52,18 +52,41 @@ def naive_pair_system_kind(dm: DistanceMatrix, k: int, pairs) -> tuple[str, tupl
     return ("quasi-pairing", witnesses) if witnesses else ("neither", ())
 
 
+def naive_least_cover(parts) -> int | None:
+    """Fewest disjoint vertex pairs with one pair inside every part, or None if no pairs do.
+
+    Parts are vertex bitmasks.  Some pair of every cover lies inside the
+    first part that no chosen pair lies inside, so branching over the pairs
+    of its unused vertices reaches every cover.
+    """
+    best = None
+
+    def extend(pending, used, size):
+        nonlocal best
+        if not pending:
+            best = size if best is None else min(best, size)
+            return
+        free = pending[0] & ~used
+        for u, w in combinations([v for v in range(free.bit_length()) if free >> v & 1], 2):
+            pair = 1 << u | 1 << w
+            extend([m for m in pending if m & pair != pair], used | pair, size + 1)
+
+    extend(list(parts), 0, 0)
+    return best
+
+
 def naive_maker_wins(dm: DistanceMatrix, k: int, maker: frozenset, breaker: frozenset, maker_to_move: bool, memo=None) -> bool:
     """Full-board minimax over every unclaimed vertex; no short-circuits beyond the win test."""
     if memo is None:
         memo = {}
+    key = (maker, breaker, maker_to_move)
+    if key in memo:
+        return memo[key]
     if direct_is_resolving(dm, k, maker):
         return True
     free = [v for v in range(dm.n) if v not in maker and v not in breaker]
     if not free:
         return False
-    key = (maker, breaker, maker_to_move)
-    if key in memo:
-        return memo[key]
     if maker_to_move:
         result = any(naive_maker_wins(dm, k, maker | {v}, breaker, False, memo) for v in free)
     else:
@@ -127,14 +150,14 @@ def naive_winner_count(dm: DistanceMatrix, k: int, maker_first: bool) -> int:
     memo: dict = {}
 
     def count(maker, breaker, maker_to_move):
+        key = (maker, breaker, maker_to_move)
+        if key in memo:
+            return memo[key]
         if maker_is_winner:
             if direct_is_resolving(dm, k, maker):
                 return 0
         elif breaker_has_won(maker, breaker):
             return 0
-        key = (maker, breaker, maker_to_move)
-        if key in memo:
-            return memo[key]
         free = [v for v in range(dm.n) if v not in maker and v not in breaker]
         if maker_to_move == maker_is_winner:
             options = []

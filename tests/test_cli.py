@@ -301,9 +301,11 @@ class TestBadInput:
         (["check", "--family", "cycle", "--n", "6", "-k", "1", "--pairs", "0-3,1-4,2-5", "--gaps"],
          "--gaps checks the landmarks of --set"),
         (["check", "--family", "cycle", "--n", "6", "--twins", "--gaps"], "--gaps checks the landmarks of --set"),
+        (["check", "--family", "cycle", "--n", "6", "-k", "1", "--pairs", ""], "pair system needs at least one pair"),
     ], ids=["set-negative", "set-too-large", "gaps-set-too-large", "gaps-set-empty", "pairs-too-large",
             "solve-k-zero", "solve-k-word", "dim-k-zero", "check-k-zero", "counts-m-game", "counts-b-game",
-            "set-and-pairs", "twins-and-set", "pairs-and-twins", "gaps-with-pairs", "gaps-with-twins"])
+            "set-and-pairs", "twins-and-set", "pairs-and-twins", "gaps-with-pairs", "gaps-with-twins",
+            "pairs-empty"])
     def test_exit_two_with_message(self, argv, message, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -1,6 +1,11 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import mbresolve
 
 from mbresolve.errors import (
     FamilyParameterError,
@@ -261,6 +266,14 @@ class TestEnumeration:
         known = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
         for n, count in known.items():
             assert len(connected_graph_atlas(max_n=n, min_n=n)) == count
+
+    def test_import_does_not_load_networkx(self):
+        # only all_free_trees and connected_graph_atlas import it, when called
+        src = str(Path(mbresolve.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import mbresolve, mbresolve.cli, mbresolve.verify; "
+                "print('networkx' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_random_connected_graph_deterministic(self):
         a = random_connected_graph(7, 0.4, random.Random(99))

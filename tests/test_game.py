@@ -22,7 +22,7 @@ from mbresolve.game import (
 from mbresolve.graph import all_pairs_distances, build_graph
 from mbresolve.resolve import PairSystemKind, check_pair_system
 
-from oracles import naive_maker_wins, naive_outcome_symbol, naive_winner_count, naive_wins_within
+from oracles import naive_least_cover, naive_maker_wins, naive_outcome_symbol, naive_winner_count, naive_wins_within
 
 
 def family(name, **kw):
@@ -163,7 +163,8 @@ class TestOutcome:
         assert solver.stats.count_nodes <= 30_000
 
     def test_memo_hits_counted(self):
-        g, dm = family("cycle", n=12)
+        # C13 still searches (6,470 nodes); the pairing cutoff settles C12 at the root
+        g, dm = family("cycle", n=13)
         solver = GameSolver(g, dm, 1)
         solver.outcome()
         assert solver.stats.tt_hits > 0
@@ -232,6 +233,48 @@ class TestCappedSearch:
                         assert got == want, (sorted(g.edges), k, sorted(maker), sorted(breaker), maker_to_move, cap, cap_maker)
                         seen.add((cap_maker, got))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestPairingCutoff:
+    def test_atlas_order_six_matches_naive_oracles(self):
+        for g in connected_graph_atlas(max_n=6, min_n=6):
+            dm = all_pairs_distances(g)
+            for k in range(1, dm.stable_level + 1):
+                solver = GameSolver(g, dm, k)
+                assert int(solver.outcome().symbol) == naive_outcome_symbol(dm, k), (sorted(g.edges), k)
+                for maker_first in (True, False):
+                    want = naive_winner_count(dm, k, maker_first)
+                    assert solver.winner_move_count(maker_first) == want, (sorted(g.edges), k, maker_first)
+
+    def test_capped_cover_larger_than_claims_left(self):
+        # mid-game positions whose free parts have a cover of p pairs: with r < p
+        # claims left the cutoff must not fire, with r = p it may
+        rng = random.Random(808)
+        seen = set()
+        for _ in range(600):
+            g = random_connected_graph(rng.randint(4, 7), rng.uniform(0.3, 0.8), rng)
+            dm = all_pairs_distances(g)
+            k = rng.randint(1, max(1, dm.diameter))
+            solver = GameSolver(g, dm, k)
+            pool = list(range(g.n))
+            rng.shuffle(pool)
+            claimed = pool[: rng.randint(0, g.n - 2)]
+            split = rng.randint(0, len(claimed))
+            maker, breaker = frozenset(claimed[:split]), frozenset(claimed[split:])
+            maker_bits = sum(1 << v for v in maker)
+            breaker_bits = sum(1 << v for v in breaker)
+            parts = [m & ~breaker_bits for m in solver.masks if not m & maker_bits]
+            least = naive_least_cover(parts)
+            if not least:
+                continue  # no cover, or no part left
+            for left in range(1, least + 1):
+                cap = len(maker) + left
+                for maker_to_move in (True, False):
+                    got = solver._searcher({}, SolverStats(), cap, cap_maker=True)(maker_bits, breaker_bits, maker_to_move)
+                    want = naive_wins_within(dm, k, maker, breaker, maker_to_move, cap, True)
+                    assert got == want, (sorted(g.edges), k, sorted(maker), sorted(breaker), maker_to_move, cap)
+                    seen.add((left < least, want))
+        assert seen == {(True, True), (True, False), (False, True)}
 
 
 class TestMoveCounts:

@@ -2,17 +2,20 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbresolve.families import FamilySpec, gen_family, random_connected_graph
+from mbresolve.game import GameSolver, OutcomeSymbol
 from mbresolve.graph import all_pairs_distances, truncated_distance, twin_partition
 from mbresolve.resolve import (
     GapProfile,
     cycle_gap_check,
+    PairSystemKind,
     is_resolving,
     metric_dimension_k,
     minimal_pair_masks,
+    search_pair_system,
 )
 
 from oracles import direct_is_resolving
@@ -66,6 +69,22 @@ def test_resolving_agrees_with_direct_codes(seed):
         k = rng.randint(1, max(1, dm.diameter))
         landmarks = rng.sample(range(g.n), rng.randint(0, g.n))
         assert is_resolving(dm, k, landmarks).ok == direct_is_resolving(dm, k, landmarks)
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_pairing_bounds_both_move_counts(seed):
+    # Maker's pairing strategy wins either game within one claim per pair
+    g = graph_from(seed, max_n=8)
+    dm = all_pairs_distances(g)
+    k = random.Random(seed ^ 0xFA1D).randint(1, dm.stable_level)
+    found = search_pair_system(dm, k)
+    assume(found is not None and found[1].kind is PairSystemKind.PAIRING)
+    pairs = len(found[0].pairs)
+    solver = GameSolver(g, dm, k)
+    assert solver.outcome().symbol is OutcomeSymbol.M
+    assert solver.winner_move_count(True) <= pairs
+    assert solver.winner_move_count(False) <= pairs
 
 
 def test_twin_pairs_must_be_hit_by_resolving_sets():
