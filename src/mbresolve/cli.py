@@ -10,10 +10,9 @@ vertex id outside the graph, a -k that is not a positive integer, or a
 verify-paper --only prefix that is empty or matches no check id of the
 level), 3 size-cap refusal, 4 internal invariant failure (a solver bug).
 
-Limits: solve takes --max-n (MBRESOLVE_MAX_N) and --tt-entries
-(MBRESOLVE_TT_ENTRIES), dim takes --max-n; a flag wins over its variable, and
-with neither the library default applies.  verify-paper runs fixed instances
-and takes no limits.
+Limits: solve and dim take --max-n, the size cap (default 18 vertices), the
+one limit a user sets; the solver's memo bound is the constant
+game.MEMO_LIMIT.  verify-paper runs fixed instances and takes no limits.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -29,23 +27,6 @@ from pathlib import Path
 from . import families, game, graphio, resolve
 from .errors import FamilyParameterError, InvariantError, MBResolveError, SizeCapError
 from .graph import Graph, all_pairs_distances, twin_partition
-
-ENV_MAX_N = "MBRESOLVE_MAX_N"
-ENV_TT_ENTRIES = "MBRESOLVE_TT_ENTRIES"
-
-
-def _flag_or_env(flag: int | None, name: str) -> int | None:
-    """The flag if given, else the environment variable; None leaves the library default."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise MBResolveError(f"environment variable {name} must be an integer, got {raw!r}") from None
-
 
 def _level(raw: str) -> int:
     """A truncation level from the command line: a positive integer."""
@@ -159,8 +140,6 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     if args.counts and args.game != "both":
         raise MBResolveError("--counts needs --game both: the count names depend on both games' winners")
-    size_cap = _flag_or_env(args.max_n, ENV_MAX_N)
-    tt = _flag_or_env(args.tt_entries, ENV_TT_ENTRIES)
     g, descriptor = _load_source(args)
     dm = all_pairs_distances(g)
     ks = list(range(1, dm.stable_level + 1)) if args.k == "all" else [args.k]
@@ -168,7 +147,7 @@ def cmd_solve(args) -> int:
     outcomes = []
     started = time.perf_counter()
     for k in ks:
-        solver = game.GameSolver(g, dm, k, size_cap=size_cap, tt_limit=tt)
+        solver = game.GameSolver(g, dm, k, size_cap=args.max_n)
         t0 = time.perf_counter()
         entry: dict = {"k": k}
         if args.game == "both":
@@ -207,7 +186,7 @@ def cmd_dim(args) -> int:
     g, descriptor = _load_source(args)
     dm = all_pairs_distances(g)
     t0 = time.perf_counter()
-    result = resolve.metric_dimension_k(dm, args.k, size_cap=_flag_or_env(args.max_n, ENV_MAX_N))
+    result = resolve.metric_dimension_k(dm, args.k, size_cap=args.max_n)
     _emit({
         "graph": descriptor,
         "k": args.k,
@@ -301,7 +280,7 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_max_n_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-n", type=int, help=f"size cap override (env {ENV_MAX_N})")
+    p.add_argument("--max-n", type=int, help=f"size cap: the largest graph order accepted (default {resolve.DEFAULT_SIZE_CAP})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", action="store_true", help="include optimal move counts (needs --game both)")
     p.add_argument("--certificates", action="store_true", help="include structural certificates")
     _add_max_n_flag(p)
-    p.add_argument("--tt-entries", type=int, help=f"transposition table entry budget (env {ENV_TT_ENTRIES})")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("dim", help="exact distance-k metric dimension with a witness")

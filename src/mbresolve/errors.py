@@ -29,7 +29,7 @@ class SizeCapError(MBResolveError):
     """Graph order exceeds the configured solver cap."""
 
     def __init__(self, n: int, cap: int):
-        super().__init__(f"graph order {n} exceeds the size cap {cap} (raise it with --max-n or MBRESOLVE_MAX_N)")
+        super().__init__(f"graph order {n} exceeds the size cap {cap} (raise it with --max-n, or size_cap= in the library)")
         self.n = n
         self.cap = cap
 

@@ -129,38 +129,25 @@ def _gen_petersen(spec: FamilySpec) -> Graph:
     return build_graph(10, edges, labels=labels)
 
 
-def _gen_thm_a(spec: FamilySpec) -> Graph:
-    # star on alpha leaves with all but two edges subdivided once:
-    # hub 0; subdivision vertices s_i = i (i in 1..alpha-2) carrying leaf
-    # l_i = alpha-2+i; leaves l_{alpha-1}, l_alpha hang on the hub directly
-    alpha = _int_param(spec, "alpha", 3)
+def _subdivided_star(alpha: int, direct: int) -> Graph:
+    # star on alpha leaves with all but `direct` edges subdivided once: hub 0;
+    # subdivision vertices s_i = i (i in 1..alpha-direct) carrying leaf
+    # l_i = alpha-direct+i; the last `direct` leaves hang on the hub directly
+    subdivided = alpha - direct
     edges = []
-    labels = ["v"]
-    for i in range(1, alpha - 1):
-        edges.append((0, i))
-        edges.append((i, alpha - 2 + i))
-        labels.append(f"s{i}")
-    for i in range(1, alpha + 1):
-        labels.append(f"l{i}")
-    for leaf in (2 * alpha - 3, 2 * alpha - 2):
-        edges.append((0, leaf))
-    return build_graph(2 * alpha - 1, edges, labels=labels)
+    for i in range(1, subdivided + 1):
+        edges += [(0, i), (i, subdivided + i)]
+    edges += [(0, leaf) for leaf in range(2 * subdivided + 1, subdivided + alpha + 1)]
+    labels = ["v"] + [f"s{i}" for i in range(1, subdivided + 1)] + [f"l{i}" for i in range(1, alpha + 1)]
+    return build_graph(1 + subdivided + alpha, edges, labels=labels)
+
+
+def _gen_thm_a(spec: FamilySpec) -> Graph:
+    return _subdivided_star(_int_param(spec, "alpha", 3), direct=2)
 
 
 def _gen_thm_b(spec: FamilySpec) -> Graph:
-    # star on alpha leaves with all but three edges subdivided once
-    alpha = _int_param(spec, "alpha", 4)
-    edges = []
-    labels = ["v"]
-    for i in range(1, alpha - 2):
-        edges.append((0, i))
-        edges.append((i, alpha - 3 + i))
-        labels.append(f"s{i}")
-    for i in range(1, alpha + 1):
-        labels.append(f"l{i}")
-    for leaf in (2 * alpha - 5, 2 * alpha - 4, 2 * alpha - 3):
-        edges.append((0, leaf))
-    return build_graph(2 * alpha - 2, edges, labels=labels)
+    return _subdivided_star(_int_param(spec, "alpha", 4), direct=3)
 
 
 def _gen_thm_d(spec: FamilySpec) -> Graph:
@@ -174,32 +161,26 @@ def _gen_thm_d(spec: FamilySpec) -> Graph:
     return build_graph(9, edges, labels=labels)
 
 
-def _gen_thm_e(spec: FamilySpec) -> Graph:
-    # alpha-vertex spine; two leaves per spine vertex, three on the last
-    alpha = _int_param(spec, "alpha", 3)
-    edges = [(i, i + 1) for i in range(alpha - 1)]
-    labels = [f"v{i + 1}" for i in range(alpha)]
-    nxt = alpha
-    for i in range(alpha - 1):
-        edges += [(i, nxt), (i, nxt + 1)]
-        labels += [f"l{i + 1}a", f"l{i + 1}b"]
-        nxt += 2
-    edges += [(alpha - 1, nxt), (alpha - 1, nxt + 1), (alpha - 1, nxt + 2)]
-    labels += [f"l{alpha}a", f"l{alpha}b", f"l{alpha}c"]
-    return build_graph(3 * alpha + 1, edges, labels=labels)
-
-
-def _gen_thm_f(spec: FamilySpec) -> Graph:
-    # alpha-vertex spine with exactly two leaves per spine vertex
-    alpha = _int_param(spec, "alpha", 4)
+def _leafy_spine(alpha: int, last_leaves: int) -> Graph:
+    # alpha-vertex spine; two leaves per spine vertex, last_leaves on the last
     edges = [(i, i + 1) for i in range(alpha - 1)]
     labels = [f"v{i + 1}" for i in range(alpha)]
     nxt = alpha
     for i in range(alpha):
-        edges += [(i, nxt), (i, nxt + 1)]
-        labels += [f"l{i + 1}a", f"l{i + 1}b"]
-        nxt += 2
-    return build_graph(3 * alpha, edges, labels=labels)
+        leaves = last_leaves if i == alpha - 1 else 2
+        for tag in "abc"[:leaves]:
+            edges.append((i, nxt))
+            labels.append(f"l{i + 1}{tag}")
+            nxt += 1
+    return build_graph(nxt, edges, labels=labels)
+
+
+def _gen_thm_e(spec: FamilySpec) -> Graph:
+    return _leafy_spine(_int_param(spec, "alpha", 3), last_leaves=3)
+
+
+def _gen_thm_f(spec: FamilySpec) -> Graph:
+    return _leafy_spine(_int_param(spec, "alpha", 4), last_leaves=2)
 
 
 def _gen_fig1(spec: FamilySpec) -> Graph:

@@ -6,23 +6,15 @@ forever.  Both win conditions reduce to the inclusion-minimal pair-resolver
 masks: Maker wins iff his set hits every mask, Breaker has won for good iff
 she owns some mask outright.
 
-The search is a memoized boolean minimax over (maker, breaker) bitmask pairs;
-the side to move is derived from the claim counts, so the transposition key
-needs no turn bit, and GameSolver.maker_wins refuses any position play cannot
-reach, which would otherwise share a key with a real one.  Move generation
+The search is a memoized boolean minimax over positions (maker, breaker,
+side to move), keyed ((maker << n) | breaker) << 1 | maker_to_move.  The key
+holds the whole position, so one memo serves both games: an M-game and a
+B-game position never share claim counts and side to move.  Move generation
 restricts to vertices of still-unhit masks (claiming anything else helps
 neither side).  Move counts reuse the same search with a cap on the winner's
 claims: the winner's optimal count is the least cap c = 0, 1, 2, ... under
 which the winner still wins (iterative deepening), each capped run with a
 fresh memo.
-
-Each node probes the memo first, then builds its list of the free parts of
-unhit masks from its parent's list and the vertex just claimed: a Maker claim
-drops the parts it hits, a Breaker claim clears her vertex from the rest.
-The same loop sums the potential and finds the threats below, and the danger
-scores, the packing and the pairing cover read that list, so no node rescans
-every mask.  Probing first is exact because the memo holds only nodes the
-scan did not settle.
 
 Each node is a Maker-Breaker hypergraph game in which Breaker builds (she
 wins by claiming every free vertex of an unhit mask) and Maker blocks.  These
@@ -38,7 +30,8 @@ exact reductions are always on; each leaves every node's value unchanged:
   sets (found by a greedy packing, smallest first): one claim hits at most
   one of them.  Under a cap on Breaker with r claims left, Maker has won once
   every unhit mask has more than r free vertices: Breaker cannot fill a mask
-  before her cap ends her play.
+  before her cap ends her play, since Maker's claims never add a free vertex
+  and play runs on until she is to move at her cap.
 - Pairing cutoff.  If disjoint pairs of free vertices put one pair inside
   every free part (the cover rule of resolve.check_pair_system, applied to
   the free parts), Maker has won whoever is to move: he answers a Breaker
@@ -51,7 +44,8 @@ exact reductions are always on; each leaves every node's value unchanged:
   fires.
 - Threats.  An unhit mask with one free vertex is a threat: Breaker to move
   claims it and wins, and Maker to move must claim it, because any other move
-  lets Breaker win at once.
+  lets Breaker win at once.  A node with a threat never fires the pairing
+  cutoff, whose pairs need two free vertices in every part.
 - Twin pruning.  Swapping two twins is an automorphism of the graph, so it
   maps masks to masks; while both are unclaimed it fixes the position, and
   claiming either one leads to positions of the same value.  Only the lowest
@@ -62,9 +56,10 @@ Both sides try their moves in decreasing order of danger, the sum of
 2^-|free part| over the unhit masks that hold the vertex; that is the vertex
 the Erdős–Selfridge blocker claims, and the one whose claim raises Breaker's
 potential most.  Ties keep the order in which the vertices first appear in
-the free parts, smallest mask first.  Ordering changes only which move is
-tried first, never a node's value.  No reduction changes the memo key
-(maker << n) | breaker.
+the free parts, lowest vertex first within a part; the parts are read in
+mask order (smallest first), or by free-part size under a cap on Maker.
+Ordering changes only which move is tried first, never a node's value.  No
+reduction changes the memo key, and none stores a node it settles.
 """
 
 from __future__ import annotations
@@ -74,18 +69,20 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .errors import CountUndefinedError, InvariantError, SizeCapError, VertexRangeError
-from .graph import DistanceMatrix, Graph, twin_partition
+from .graph import DistanceMatrix, Graph
 from .resolve import (
     DEFAULT_SIZE_CAP,
     PairSystem,
     PairSystemKind,
     _least_hitting_set,
     _require_in_range,
+    _twin_classes,
     minimal_pair_masks,
     search_pair_system,
 )
 
-DEFAULT_TT_LIMIT = 8_000_000
+# entries one memo may hold; a node past the bound is recomputed, never wrong
+MEMO_LIMIT = 8_000_000
 
 
 class Player(Enum):
@@ -219,9 +216,9 @@ class SolverStats:
     """Search counters; informative only, never part of a result.
 
     nodes and tt_hits count the expanded nodes and the memo hits of the
-    uncapped searches behind maker_wins, and tt_entries their memo entries;
-    count_nodes counts the expanded nodes of the capped searches behind move
-    counts.
+    uncapped searches behind maker_wins, and tt_entries the entries of their
+    one memo; count_nodes counts the expanded nodes of the capped searches
+    behind move counts.
     """
 
     nodes: int = 0
@@ -233,19 +230,11 @@ class SolverStats:
 class GameSolver:
     """Solves both games on one (graph, k); reusable across winner/count queries.
 
-    Moves are tried in decreasing order of danger (see _searcher); the order
-    never changes a result.
+    Moves are tried in decreasing order of danger (see the module docstring);
+    the order never changes a result.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        dm: DistanceMatrix,
-        k: int,
-        *,
-        size_cap: int | None = None,
-        tt_limit: int | None = None,
-    ):
+    def __init__(self, graph: Graph, dm: DistanceMatrix, k: int, *, size_cap: int | None = None):
         cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
         if graph.n > cap:
             raise SizeCapError(graph.n, cap)
@@ -254,12 +243,10 @@ class GameSolver:
         self.k = k
         self.n = graph.n
         self.masks = minimal_pair_masks(dm, k)
-        self._tt_limit = DEFAULT_TT_LIMIT if tt_limit is None else tt_limit
-        twin_classes = twin_partition(graph).classes
-        self._twin_masks = tuple(sum(1 << v for v in cls) for cls in twin_classes if len(cls) > 1)
-        self._win_memo: dict[bool, dict[int, bool]] = {True: {}, False: {}}
-        self._searchers: dict[bool, object] = {}
+        self._twin_masks = tuple(sum(1 << v for v in cls) for cls in _twin_classes(self.masks))
+        self._memo: dict[int, bool] = {}
         self.stats = SolverStats()
+        self._search = self._searcher(self._memo, self.stats)
 
     # -- winner search ---------------------------------------------------
 
@@ -268,9 +255,10 @@ class GameSolver:
 
         With a cap, the capped side (Maker if cap_maker, else Breaker) loses
         when it is to move and already holds cap vertices, so the search
-        answers "does that side win within cap claims".  Nodes expanded are
-        counted in tally.nodes and memo hits in tally.tt_hits; a node settled
-        by the scan or by a cap cutoff is not expanded.
+        answers "does that side win within cap claims"; the claim-horizon
+        cutoffs of the module docstring end a branch before that.  Nodes
+        expanded are counted in tally.nodes and memo hits in tally.tt_hits; a
+        node settled by a cutoff is not expanded.
 
         The search carries its state down the tree: each child receives its
         parent's free parts of the unhit masks (mask & ~breaker for every mask
@@ -282,65 +270,18 @@ class GameSolver:
         call lists the parts from the masks (on the empty board they are the
         masks themselves); it settles a Breaker-owned mask there, so no
         carried list holds an empty part and the Maker-claim filter needs no
-        empty test.  A node thus costs time in the unhit masks, not in all of
-        them.
+        empty test.  The potential, the threats, the danger scores, the
+        packing and the pairing cover all read that list, so a node costs
+        time in the unhit masks, not in all of them.
 
-        The memo is probed before that loop.  That is exact: the memo holds
-        only expanded nodes, whose scan settled nothing, and within one memo
-        the side to move and each cap's claims left are functions of the key,
-        since every entry call is a position play can reach.
-
-        The scan sums the Erdős–Selfridge potential, in units of 2^-n so that
-        it stays an exact int, and notes the fewest free vertices of an unhit
-        mask.  Maker has won once the potential is below 1 with Maker to move,
-        or below 1/2 with Breaker to move: the blocker's potential strategy
-        never lets Breaker fill a mask.  That says nothing about how soon
-        Maker wins, so under a cap on Maker the cutoff is off; a cap on
-        Breaker only ends her play early, so it stays on.  Breaker to move
-        wins on a threat (a mask with one free vertex), and Maker to move must
-        claim the threat's vertex.  Moves onto a twin whose lower-numbered
-        twin is still unclaimed are skipped: swapping the two fixes the
-        position, so both moves have one value.
-
-        The caps cut off in place of searching to the capped side's last
-        claim.  Under a cap on Breaker with r claims left, Maker has won once
-        every unhit mask has more than r free vertices: Breaker wins only by
-        claiming all of a mask's free vertices, Maker's claims never add a
-        free vertex, and until Maker hits every mask a live vertex stays open,
-        so play runs on until Breaker is to move at her cap.  Under a cap on
-        Maker with r claims left, Maker has lost once more than r of the free
-        parts are pairwise disjoint, since one claim hits at most one of them
-        and Maker must hit them all; the disjoint sets come from a greedy
-        packing, smallest free part first, so the cutoff fires on a lower
-        bound and is exact whenever it fires.
-
-        The pairing cutoff is the upper-bound twin of the packing.  Take the
-        free parts smallest first and give each part that holds no chosen
-        pair the two lowest of its vertices that no chosen pair uses; if
-        every part gets a pair, the pairs meet the cover rule of
-        resolve.check_pair_system on the free parts, and Maker wins by the
-        pairing strategy, whoever is to move: he answers a Breaker claim on a
-        pair with its partner and otherwise claims from a pair he has not
-        touched, so Breaker never owns a whole pair and never fills a part.
-        Each of his claims touches a new pair, so a cover of p pairs wins
-        within p claims; under a cap on Maker with r claims left the cutoff
-        fires only when p <= r, and the greedy cover stops once it passes r.
-        A part with fewer than two unused vertices ends the test, so a node
-        with a threat never fires it.  Like the other cutoffs it stores
-        nothing in the memo.
-
-        At an expanded node with two or more moves, both sides try them in
-        decreasing order of danger, the sum of 2^-|free part| over the free
-        parts holding the vertex: Maker's claim lowers the potential by that
-        much, Breaker's raises it by that much, as in the Erdős–Selfridge
-        blocker strategy.  Ties keep the order in which the vertices first
-        appear in the free parts, lowest vertex first within a part; the parts
-        are read in mask order, or smallest first under a cap on Maker, where
-        the packing has sorted them.  The order only decides which move is
-        tried first; a node's value is over all its moves.
+        The memo maps the position key of the module docstring to the value
+        of an expanded node and is probed before that loop.  That is exact:
+        the key fixes the position, and with the cap and the capped side
+        fixed per memo, it fixes each cap's claims left too.  A value is
+        stored only while the memo holds fewer than MEMO_LIMIT entries.
         """
         masks = self.masks
-        tt_limit = self._tt_limit
+        limit = MEMO_LIMIT
         twin_masks = self._twin_masks
         n = self.n
         unit = 1 << n  # potential 1, in units of 2^-n
@@ -356,7 +297,7 @@ class GameSolver:
         def node(
             maker: int, breaker: int, maker_to_move: bool, above: list[int] | tuple[int, ...], claimed: int
         ) -> bool:
-            key = (maker << n) | breaker
+            key = ((maker << n) | breaker) << 1 | maker_to_move
             hit = memo_get(key)
             if hit is not None:
                 tally.tt_hits += 1
@@ -468,7 +409,7 @@ class GameSolver:
                     if not node(maker, breaker | bit, True, parts, bit):
                         result = False
                         break
-            if len(memo) < tt_limit:
+            if len(memo) < limit:
                 memo[key] = result
             return result
 
@@ -488,11 +429,9 @@ class GameSolver:
     def maker_wins(self, maker: int, breaker: int, maker_to_move: bool, maker_first: bool) -> bool:
         """Does Maker win from the position given by the claimed-vertex bitmasks?
 
-        Each memo is keyed by (maker << n) | breaker alone, so a position play
-        cannot reach would poison it for later queries.  A bit outside 0..n-1
-        raises VertexRangeError; overlapping sets, claim counts the first
-        player cannot reach, or a side to move that the counts do not give
-        raise ValueError.
+        A bit outside 0..n-1 raises VertexRangeError; overlapping sets, claim
+        counts the first player cannot reach, or a side to move that the
+        counts do not give raise ValueError.
         """
         both = maker | breaker
         if both < 0:
@@ -510,11 +449,8 @@ class GameSolver:
                              f"|maker|={maker.bit_count()}, |breaker|={breaker.bit_count()}")
         if maker_to_move != ((lead == 0) == maker_first):
             raise ValueError(f"{'Maker' if maker_to_move else 'Breaker'} is not the side to move here")
-        search = self._searchers.get(maker_first)
-        if search is None:
-            search = self._searchers[maker_first] = self._searcher(self._win_memo[maker_first], self.stats)
-        result = search(maker, breaker, maker_to_move)
-        self.stats.tt_entries = sum(len(t) for t in self._win_memo.values())
+        result = self._search(maker, breaker, maker_to_move)
+        self.stats.tt_entries = len(self._memo)
         return result
 
     # -- public queries ----------------------------------------------------
@@ -601,21 +537,22 @@ def jump_report(graph: Graph, dm: DistanceMatrix) -> JumpReport:
 
 def certificate_fast_path(graph: Graph, dm: DistanceMatrix, k: int) -> Certificate | None:
     """Cheap structural outcome bounds; used to cross-check the solver."""
-    tp = twin_partition(graph)
-    big = tp.classes_of_size(4)
+    masks = minimal_pair_masks(dm, k)
+    twin_classes = _twin_classes(masks)
+    big = [cls for cls in twin_classes if len(cls) >= 4]
     if big:
         return Certificate(
             kind=CertificateKind.FORCED_B,
             reason=f"twin class of size {len(big[0])}: {list(big[0])}",
         )
-    threes = tp.classes_of_size(3)
+    threes = [cls for cls in twin_classes if len(cls) >= 3]
     if len(threes) >= 2:
         return Certificate(
             kind=CertificateKind.FORCED_B,
             reason=f"two twin classes of size >= 3: {list(threes[0])}, {list(threes[1])}",
         )
     half = math.ceil(graph.n / 2)
-    if _least_hitting_set(minimal_pair_masks(dm, k), half) is None:
+    if _least_hitting_set(masks, half) is None:
         return Certificate(
             kind=CertificateKind.FORCED_B,
             reason=f"dimension exceeds half the order ({graph.n}): no resolving set of {half} vertices",

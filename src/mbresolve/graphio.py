@@ -37,10 +37,22 @@ def _loads_json(text: str) -> Graph:
         raise GraphParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphParseError('JSON graph needs "n" and "edges" fields')
-    try:
-        return build_graph(int(obj["n"]), [tuple(e) for e in obj["edges"]], labels=obj.get("labels"))
-    except (TypeError, ValueError) as exc:
-        raise GraphParseError(f"malformed JSON graph: {exc}") from exc
+    n, edges, labels = obj["n"], obj["edges"], obj.get("labels")
+    if not _is_int(n):
+        raise GraphParseError(f'"n" must be an integer, got {n!r}')
+    if not isinstance(edges, list):
+        raise GraphParseError(f'"edges" must be a list, got {edges!r}')
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise GraphParseError(f"an edge must be a list of two integers, got {e!r}")
+    if labels is not None and not isinstance(labels, list):
+        raise GraphParseError(f'"labels" must be a list, got {labels!r}')
+    return build_graph(n, [tuple(e) for e in edges], labels=labels)
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _loads_text(text: str) -> Graph:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -112,6 +112,30 @@ def minimal_pair_masks(dm: DistanceMatrix, k: int) -> tuple[int, ...]:
     return tuple(minimal)
 
 
+def _twin_classes(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Twin classes of two or more vertices, each ascending, ordered by lowest vertex.
+
+    At every level the 2-masks are exactly the twin pairs: R_k{u,w} always
+    holds u and w; it holds no other vertex when u and w are twins, whose
+    swap keeps every other vertex's distances, and otherwise it holds a
+    vertex adjacent to just one of them.  So each class is its lowest
+    vertex's 2-masks joined, and a vertex is lowest when no 2-mask has it as
+    the higher vertex.
+    """
+    twin_pairs = [m for m in masks if m.bit_count() == 2]
+    above_least = 0
+    for m in twin_pairs:
+        above_least |= m & (m - 1)
+    classes: dict[int, int] = {}
+    for m in twin_pairs:
+        low = m & -m
+        if not low & above_least:
+            classes[low] = classes.get(low, 0) | m
+    return tuple(
+        tuple(v for v in range(cls.bit_length()) if cls >> v & 1) for _, cls in sorted(classes.items())
+    )
+
+
 def mask_resolves(masks: Sequence[int], set_mask: int) -> bool:
     """True iff set_mask hits every minimal pair mask."""
     for m in masks:
@@ -135,14 +159,8 @@ def metric_dimension_k(dm: DistanceMatrix, k: int, *, size_cap: int | None = Non
     if dm.n > cap:
         raise SizeCapError(dm.n, cap)
     masks = minimal_pair_masks(dm, k)
-    # a resolving set holds all but one vertex of each twin class.  The
-    # 2-masks are exactly the twin pairs, so each one's high bit marks a twin
-    # that is not the least of its class.
-    twins_above_least = 0
-    for m in masks:
-        if m.bit_count() == 2:
-            twins_above_least |= m & (m - 1)
-    for size in range(twins_above_least.bit_count(), dm.n):
+    # a resolving set holds all but one vertex of each twin class
+    for size in range(sum(len(cls) - 1 for cls in _twin_classes(masks)), dm.n):
         witness = _least_hitting_set(masks, size)
         if witness is not None:
             return DimResult(size, witness)
@@ -313,11 +331,17 @@ def search_pair_system(dm: DistanceMatrix, k: int) -> tuple[PairSystem, PairSyst
     those masks only through the transversals.  So one cover search runs
     over all masks, then once per candidate witness v over the masks that
     miss v, and the first cover that check_pair_system confirms is returned.
+    Targets are built one at a time, and a target met before (a v in no
+    mask gives all of them again) is skipped: its covers were all refused.
     """
     masks = minimal_pair_masks(dm, k)
-    targets = [masks] + [tuple(m for m in masks if not m >> v & 1) for v in range(dm.n)]
-    # an empty target (no masks, or v alone resolves) has no pair to offer
-    for target in filter(None, targets):
+    targets = chain([masks], (tuple(m for m in masks if not m >> v & 1) for v in range(dm.n)))
+    searched = set()
+    for target in targets:
+        # an empty target (no masks, or v alone resolves) has no pair to offer
+        if not target or target in searched:
+            continue
+        searched.add(target)
         for pairs in _covers(target):
             system = PairSystem(pairs=pairs)
             check = check_pair_system(dm, k, system)

@@ -99,11 +99,10 @@ class TestSolve:
         code, _ = run(capsys, "solve", "--family", "complete", "--n", "20", "-k", "1")
         assert code == 3
 
-    def test_env_cap_and_flag_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("MBRESOLVE_MAX_N", "4")
-        code, _ = run(capsys, "solve", "--family", "cycle", "--n", "5", "-k", "1")
+    def test_max_n_flag_sets_cap(self, capsys):
+        code, _ = run(capsys, "solve", "--family", "cycle", "--n", "5", "-k", "1", "--max-n", "4")
         assert code == 3
-        code, _ = run(capsys, "solve", "--family", "cycle", "--n", "5", "-k", "1", "--max-n", "6")
+        code, _ = run(capsys, "solve", "--family", "complete", "--n", "20", "-k", "1", "--max-n", "20")
         assert code == 0
 
     def test_report_determinism(self, capsys):
@@ -262,21 +261,14 @@ class TestLimitFlags:
         ["solve", "--family", "cycle", "--n", "5", "-k", "1", "--force-size"],
         ["dim", "--family", "cycle", "--n", "5", "-k", "1", "--force-size"],
         ["dim", "--family", "cycle", "--n", "5", "-k", "1", "--tt-entries", "5"],
+        ["solve", "--family", "cycle", "--n", "5", "-k", "1", "--tt-entries", "5"],  # the memo bound is a constant
     ])
     def test_flag_rejected(self, argv, capsys):
         assert main(argv) == 2
 
-    def test_dim_max_n(self, capsys, monkeypatch):
+    def test_dim_max_n(self, capsys):
         code, _ = run(capsys, "dim", "--family", "cycle", "--n", "5", "-k", "1", "--max-n", "4")
         assert code == 3
-        monkeypatch.setenv("MBRESOLVE_MAX_N", "4")
-        code, _ = run(capsys, "dim", "--family", "cycle", "--n", "5", "-k", "1")
-        assert code == 3
-
-    def test_bad_environment_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("MBRESOLVE_TT_ENTRIES", "many")
-        code, _ = run(capsys, "solve", "--family", "cycle", "--n", "5", "-k", "1")
-        assert code == 2
 
 
 class TestBadInput:

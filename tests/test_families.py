@@ -283,3 +283,32 @@ class TestEnumeration:
     def test_random_connected_graph_sparse_fallback(self):
         g = random_connected_graph(9, 0.01, random.Random(5))
         assert g.n == 9  # connectivity guaranteed even at tiny densities
+
+
+class TestPinnedConstructions:
+    """Vertex ids and labels of the theorem families, which reports and checks name."""
+
+    @pytest.mark.parametrize("family, alpha, edges, labels", [
+        ("thm_a", 3, "0-1 0-3 0-4 1-2", "v s1 l1 l2 l3"),
+        ("thm_a", 4, "0-1 0-2 0-5 0-6 1-3 2-4", "v s1 s2 l1 l2 l3 l4"),
+        ("thm_a", 5, "0-1 0-2 0-3 0-7 0-8 1-4 2-5 3-6", "v s1 s2 s3 l1 l2 l3 l4 l5"),
+        ("thm_a", 6, "0-1 0-2 0-3 0-4 0-9 0-10 1-5 2-6 3-7 4-8", "v s1 s2 s3 s4 l1 l2 l3 l4 l5 l6"),
+        ("thm_b", 4, "0-1 0-3 0-4 0-5 1-2", "v s1 l1 l2 l3 l4"),
+        ("thm_b", 5, "0-1 0-2 0-5 0-6 0-7 1-3 2-4", "v s1 s2 l1 l2 l3 l4 l5"),
+        ("thm_b", 6, "0-1 0-2 0-3 0-7 0-8 0-9 1-4 2-5 3-6", "v s1 s2 s3 l1 l2 l3 l4 l5 l6"),
+        ("thm_e", 3, "0-1 0-3 0-4 1-2 1-5 1-6 2-7 2-8 2-9", "v1 v2 v3 l1a l1b l2a l2b l3a l3b l3c"),
+        ("thm_e", 4, "0-1 0-4 0-5 1-2 1-6 1-7 2-3 2-8 2-9 3-10 3-11 3-12",
+         "v1 v2 v3 v4 l1a l1b l2a l2b l3a l3b l4a l4b l4c"),
+        ("thm_e", 5, "0-1 0-5 0-6 1-2 1-7 1-8 2-3 2-9 2-10 3-4 3-11 3-12 4-13 4-14 4-15",
+         "v1 v2 v3 v4 v5 l1a l1b l2a l2b l3a l3b l4a l4b l5a l5b l5c"),
+        ("thm_f", 4, "0-1 0-4 0-5 1-2 1-6 1-7 2-3 2-8 2-9 3-10 3-11",
+         "v1 v2 v3 v4 l1a l1b l2a l2b l3a l3b l4a l4b"),
+        ("thm_f", 5, "0-1 0-5 0-6 1-2 1-7 1-8 2-3 2-9 2-10 3-4 3-11 3-12 4-13 4-14",
+         "v1 v2 v3 v4 v5 l1a l1b l2a l2b l3a l3b l4a l4b l5a l5b"),
+        ("thm_f", 6, "0-1 0-6 0-7 1-2 1-8 1-9 2-3 2-10 2-11 3-4 3-12 3-13 4-5 4-14 4-15 5-16 5-17",
+         "v1 v2 v3 v4 v5 v6 l1a l1b l2a l2b l3a l3b l4a l4b l5a l5b l6a l6b"),
+    ])
+    def test_edges_and_labels(self, family, alpha, edges, labels):
+        g = gen_family(FamilySpec.make(family, alpha=alpha))
+        assert g.edges == {tuple(map(int, e.split("-"))) for e in edges.split()}
+        assert g.labels == tuple(labels.split())

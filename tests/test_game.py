@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mbresolve import game
 from mbresolve.errors import CountUndefinedError, InvariantError, SizeCapError, VertexRangeError
 from mbresolve.families import FamilySpec, connected_graph_atlas, gen_family, random_connected_graph
 from mbresolve.game import (
@@ -73,7 +74,7 @@ class TestWinner:
         (0b1, 0b10, True, False, ValueError),
     ])
     def test_maker_wins_rejects_bad_positions(self, maker, breaker, maker_to_move, maker_first, error):
-        # the memo key carries no turn bit, so an accepted bad call would poison later queries
+        # a rejected call stores nothing, so later queries on the same memo stay exact
         g = build_graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
         dm = all_pairs_distances(g)
         solver = GameSolver(g, dm, 1)
@@ -168,6 +169,38 @@ class TestOutcome:
         solver = GameSolver(g, dm, 1)
         solver.outcome()
         assert solver.stats.tt_hits > 0
+
+    def test_one_memo_serves_both_games(self):
+        # an M-game and a B-game position never share claim counts and side to
+        # move, so solving both games on one memo costs what two fresh memos do
+        for name, kw in (("cycle", {"n": 13}), ("thm_e", {"alpha": 3}), ("fig1", {"alpha": 2})):
+            g, dm = family(name, **kw)
+            both = GameSolver(g, dm, 1)
+            both.outcome()
+            apart = [GameSolver(g, dm, 1) for _ in range(2)]
+            apart[0].maker_wins(0, 0, True, True)
+            apart[1].maker_wins(0, 0, False, False)
+            assert both.stats.nodes == sum(s.stats.nodes for s in apart)
+            assert both.stats.tt_hits == sum(s.stats.tt_hits for s in apart)
+            assert both.stats.tt_entries == sum(s.stats.tt_entries for s in apart) == both.stats.nodes
+
+    def test_one_solver_answers_midgame_positions_of_both_games(self):
+        rng = random.Random(808)
+        for _ in range(12):
+            g = random_connected_graph(rng.randint(4, 6), rng.uniform(0.3, 0.8), rng)
+            dm = all_pairs_distances(g)
+            k = rng.randint(1, max(1, dm.diameter))
+            solver = GameSolver(g, dm, k)  # one memo for every query below
+            for _ in range(15):
+                first = rng.choice([Player.MAKER, Player.BREAKER])
+                pool = list(range(g.n))
+                rng.shuffle(pool)
+                moves = pool[: rng.randint(0, g.n)]
+                maker = frozenset(moves[0::2] if first is Player.MAKER else moves[1::2])
+                breaker = frozenset(moves[1::2] if first is Player.MAKER else moves[0::2])
+                pos = GamePosition(maker, breaker, first)
+                want = naive_maker_wins(dm, k, maker, breaker, pos.player_to_move is Player.MAKER)
+                assert (solver.winner(pos) is Player.MAKER) == want, (sorted(g.edges), k, pos)
 
     def test_matches_naive_oracle_on_atlas(self):
         for g in connected_graph_atlas(max_n=5, min_n=2):
@@ -438,16 +471,18 @@ class TestCertificates:
 
 
 class TestDeterminismAndSymmetry:
-    def test_tt_limit_zero_recomputes(self):
-        # entries beyond the table limit are recomputed, never wrong
+    def test_memo_limit_zero_recomputes(self, monkeypatch):
+        # entries beyond the memo bound are recomputed, never wrong
         cases = [("thm_d", {}, 1), ("thm_d", {}, 2), ("cycle", {"n": 7}, 1), ("cycle", {"n": 7}, 2),
                  ("multipartite", {"parts": (2, 2, 1)}, 1), ("star", {"beta": 4}, 1)]
         for name, kw, k in cases:
             g, dm = family(name, **kw)
             base = GameSolver(g, dm, k)
-            bare = GameSolver(g, dm, k, tt_limit=0)
-            assert bare.outcome() == base.outcome()
-            assert bare.move_counts() == base.move_counts()
+            want = (base.outcome(), base.move_counts())
+            with monkeypatch.context() as patch:
+                patch.setattr(game, "MEMO_LIMIT", 0)  # for the capped count searches too
+                bare = GameSolver(g, dm, k)
+                assert (bare.outcome(), bare.move_counts()) == want
             assert bare.stats.tt_entries == 0
 
     def test_repeat_solves_identical(self):

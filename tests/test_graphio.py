@@ -80,3 +80,16 @@ class TestJsonFormat:
     def test_missing_fields(self):
         with pytest.raises(GraphParseError):
             graphio.loads('{"n": 3}')
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2.5, "edges": [[0, 1]]}',
+        '{"n": "3", "edges": [[0, 1], [1, 2]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[0, 1]], "labels": "ab"}',
+        '{"n": 2, "edges": [[0, true]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 2, "edges": {"0": 1}}',
+    ], ids=["n-float", "n-string", "n-bool", "labels-string", "endpoint-bool", "edge-triple", "edges-object"])
+    def test_malformed_fields_rejected(self, text):
+        with pytest.raises(GraphParseError):
+            graphio.loads(text)

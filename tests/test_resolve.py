@@ -13,7 +13,7 @@ from mbresolve.errors import (
     VertexRangeError,
 )
 from mbresolve.families import FamilySpec, connected_graph_atlas, gen_family
-from mbresolve.graph import all_pairs_distances, build_graph
+from mbresolve.graph import all_pairs_distances, build_graph, twin_partition
 from mbresolve.resolve import (
     GapProfile,
     PairSystemKind,
@@ -138,6 +138,16 @@ class TestMinimalMasks:
         # all six leaf pairs of the 4-leaf twin class
         assert len(two) == 6
 
+    def test_twin_classes_from_masks_match_twin_partition(self):
+        levels = 0
+        for g in connected_graph_atlas(max_n=7):
+            dm = all_pairs_distances(g)
+            want = tuple(cls for cls in twin_partition(g).classes if len(cls) > 1)
+            for k in range(1, dm.stable_level + 1):
+                assert resolve._twin_classes(minimal_pair_masks(dm, k)) == want, (sorted(g.edges), k)
+                levels += 1
+        assert levels == 1648
+
 
 class TestMetricDimension:
     def test_thm_d_level1(self):
@@ -256,6 +266,15 @@ class TestPairSystems:
         system, check = found
         assert check.kind is PairSystemKind.PAIRING
         assert check_pair_system(dm, 1, system).kind is PairSystemKind.PAIRING
+
+    def test_search_skips_a_repeated_target(self, monkeypatch):
+        # the hub of K1,4 lies in no minimal mask, so its target is the full mask list again
+        _, dm = family_dm("star", beta=4)
+        targets = []
+        covers = resolve._covers
+        monkeypatch.setattr(resolve, "_covers", lambda target: targets.append(target) or covers(target))
+        assert search_pair_system(dm, 1) is None
+        assert len(targets) == len(set(targets)) == 5
 
     def test_search_finds_quasi_for_thm_b(self):
         _, dm = family_dm("thm_b", alpha=4)
