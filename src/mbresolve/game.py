@@ -39,9 +39,21 @@ exact reductions are always on; each leaves every node's value unchanged:
   not touched, so Breaker never fills a part.  Each of his claims touches a
   new pair, so with p pairs he wins within p claims, and under a cap on
   Maker with r claims left the cutoff fires only when p <= r; a cap on
-  Breaker only helps Maker.  The pairs come from a greedy cover, smallest
-  part first, which may miss a cover that exists but is exact whenever it
-  fires.
+  Breaker only helps Maker.  The cutoff fires only on a cover it has built,
+  so it is exact however it searches.  It first tries a greedy cover,
+  smallest part first, the two lowest unused vertices (in no chosen pair)
+  of each part that holds no chosen pair.  When that fails, Maker's claims
+  are not capped and some greedy pick was a choice (its part had three or
+  more unused vertices), it runs the backtracking search
+  resolve._pair_cover, which finds a cover whenever one exists unless it
+  stops at resolve.PAIR_SEARCH_NODES branching nodes.  If every pick was
+  forced (its part had exactly two unused vertices), each of those pairs is
+  in every cover, by induction: a cover's pair inside the part is disjoint
+  from the forced pairs before it, so it is the part's one unused pair.
+  The part on which the greedy stopped has fewer than two unused vertices,
+  so no cover has a pair inside it; the failure is a proof and the search
+  is skipped.  Under a cap on Maker the greedy alone decides: there the
+  backtracking search settled few more nodes than it cost.
 - Threats.  An unhit mask with one free vertex is a threat: Breaker to move
   claims it and wins, and Maker to move must claim it, because any other move
   lets Breaker win at once.  A node with a threat never fires the pairing
@@ -75,6 +87,7 @@ from .resolve import (
     PairSystem,
     PairSystemKind,
     _least_hitting_set,
+    _pair_cover,
     _require_in_range,
     _twin_classes,
     minimal_pair_masks,
@@ -272,7 +285,9 @@ class GameSolver:
         carried list holds an empty part and the Maker-claim filter needs no
         empty test.  The potential, the threats, the danger scores, the
         packing and the pairing cover all read that list, so a node costs
-        time in the unhit masks, not in all of them.
+        time in the unhit masks, not in all of them.  The pairing cover is
+        the greedy first and the backtracking resolve._pair_cover second,
+        under the conditions of the module docstring.
 
         The memo maps the position key of the module docstring to the value
         of an expanded node and is probed before that loop.  That is exact:
@@ -289,6 +304,11 @@ class GameSolver:
         breaker_cap = None if cap_maker else cap
         es_bound = unit if maker_cap is None else 0  # no potential is below 0
         memo_get = memo.get
+        # node recurses through child, which is bound only while a search
+        # runs: a function that named itself would form a reference cycle,
+        # and the memo it holds would outlive the solver until the cyclic
+        # collector ran
+        child = None
 
         # Both sides claim only live vertices (those of masks Maker has not
         # hit).  Any other claim is a pass, and since an extra claimed vertex
@@ -361,18 +381,24 @@ class GameSolver:
                 # pairing cutoff: a greedy cover, smallest part first
                 pending = ranked if maker_cap is not None else sorted(parts, key=int.bit_count)
                 paired = pairs = 0
+                chose = False
                 while pending:
                     rest = pending[0] & ~paired  # the first part that holds no chosen pair
                     low = rest & -rest
                     rest ^= low
                     if not rest or pairs == left:
                         break  # no pair fits in this part, or the cover outgrows Maker's cap
-                    pair = low | (rest & -rest)
+                    second = rest & -rest
+                    if rest != second:
+                        chose = True  # three or more unused vertices: this pick was a choice
+                    pair = low | second
                     paired |= pair
                     pairs += 1
                     pending = [part for part in pending if part & pair != pair]
                 else:
                     return True  # Maker wins by the pairing strategy, within that many claims
+                if chose and maker_cap is None and _pair_cover(parts, left) is not None:
+                    return True  # the backtracking search found a cover the greedy missed
             tally.nodes += 1
             if maker_to_move and min_free == 1:
                 # forced, and exempt from twin pruning: that would drop this
@@ -400,13 +426,13 @@ class GameSolver:
             if maker_to_move:
                 result = False
                 for bit in order:
-                    if node(maker | bit, breaker, False, parts, bit):
+                    if child(maker | bit, breaker, False, parts, bit):
                         result = True
                         break
             else:
                 result = True
                 for bit in order:
-                    if not node(maker, breaker | bit, True, parts, bit):
+                    if not child(maker, breaker | bit, True, parts, bit):
                         result = False
                         break
             if len(memo) < limit:
@@ -414,6 +440,7 @@ class GameSolver:
             return result
 
         def search(maker: int, breaker: int, maker_to_move: bool) -> bool:
+            nonlocal child
             if maker | breaker:
                 not_breaker = ~breaker
                 parts = [m & not_breaker for m in masks if not m & maker]
@@ -422,7 +449,11 @@ class GameSolver:
             else:
                 parts = masks  # the empty board, where every search of a game starts
             # no vertex is claimed on entry, so the first filter keeps every part
-            return node(maker, breaker, maker_to_move, parts, 0)
+            child = node
+            try:
+                return node(maker, breaker, maker_to_move, parts, 0)
+            finally:
+                child = None
 
         return search
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -296,30 +296,67 @@ def check_pair_system(dm: DistanceMatrix, k: int, pairs) -> PairSystemCheck:
     return PairSystemCheck(PairSystemKind.NEITHER)
 
 
-def _covers(masks: Sequence[int]):
-    """Disjoint pair systems with a pair inside every mask, as sorted pair tuples.
+def _pair_cover(parts: Sequence[int], left: int, accept=None) -> tuple[int, ...] | None:
+    """The first disjoint pair system with a pair inside every part, of at most left pairs, that accept takes.
 
-    Branches on the first mask without a chosen pair inside it, smallest
-    first, over the pairs of its unused vertices, so a 2-mask (a twin pair)
-    forces its pair.  With no node limit, every cover contains one that this
-    finds; at most PAIR_SEARCH_NODES nodes are expanded.
+    Parts and pairs are vertex bitmasks; accept (any cover, if None) gets
+    the pairs in the order they were chosen.  Depth-first search: a part
+    with a chosen pair inside it is done, and of the parts left, the one
+    with the fewest unused vertices (in no chosen pair) is branched on, over
+    the pairs of those vertices in lexicographic order.  A part with exactly
+    two unused vertices forces its pair, which is taken without branching;
+    a part with fewer ends the branch.  At most PAIR_SEARCH_NODES branching
+    nodes are expanded.
+
+    Completeness: a cover that holds the pairs chosen so far has a pair
+    inside the branched (or forcing) part, and that pair is in no chosen
+    pair, so it is one of the branches (or the forced pair).  Following any
+    cover C of at most left pairs thus reaches a cover made of pairs of C.
+    So unless it stops at the node bound, the search returns a cover exactly
+    when one of at most left pairs exists, and accept is offered a sub-cover
+    of every such cover until it takes one.
     """
     nodes = 0
 
-    def extend(pending: list[int], pairs: tuple[tuple[int, int], ...], used: int):
+    def extend(pending: list[int], used: int, pairs: tuple[int, ...]) -> tuple[int, ...] | None:
         nonlocal nodes
-        if not pending:
-            yield tuple(sorted(pairs))
-            return
+        while pending:
+            if len(pairs) == left:
+                return None
+            fewest = most = 0
+            for part in pending:
+                free = part & ~used
+                count = free.bit_count()
+                if count < 2:
+                    return None  # no unused pair fits in this part
+                if count < most or not most:
+                    fewest, most = free, count
+            if most > 2:
+                break
+            used |= fewest  # forced: the only unused pair in its part
+            pairs += (fewest,)
+            pending = [part for part in pending if part & fewest != fewest]
+        else:
+            return pairs if accept is None or accept(pairs) else None
         if nodes >= PAIR_SEARCH_NODES:
-            return
+            return None
         nodes += 1
-        free = pending[0] & ~used
-        for u, w in combinations([v for v in range(free.bit_length()) if free >> v & 1], 2):
-            b = (1 << u) | (1 << w)
-            yield from extend([m for m in pending if m & b != b], pairs + ((u, w),), used | b)
+        bits = [1 << v for v in range(fewest.bit_length()) if fewest >> v & 1]
+        for a, b in combinations(bits, 2):
+            pair = a | b
+            found = extend([part for part in pending if part & pair != pair], used | pair, pairs + (pair,))
+            if found is not None:
+                return found
+        return None
 
-    return extend(list(masks), (), 0)
+    try:
+        return extend(list(parts), 0, ())
+    finally:
+        del extend  # it calls itself, a reference cycle that only the cyclic collector would free
+
+
+def _pair_system(pairs: Iterable[int]) -> PairSystem:
+    return PairSystem.of(((p & -p).bit_length() - 1, p.bit_length() - 1) for p in pairs)
 
 
 def search_pair_system(dm: DistanceMatrix, k: int) -> tuple[PairSystem, PairSystemCheck] | None:
@@ -328,25 +365,36 @@ def search_pair_system(dm: DistanceMatrix, k: int) -> tuple[PairSystem, PairSyst
     By the cover rule of check_pair_system, a pairing is a cover: disjoint
     pairs with one inside every minimal mask.  A quasi-pairing with witness v
     covers every mask that misses v, because the transversals plus v hit
-    those masks only through the transversals.  So one cover search runs
-    over all masks, then once per candidate witness v over the masks that
-    miss v, and the first cover that check_pair_system confirms is returned.
-    Targets are built one at a time, and a target met before (a v in no
-    mask gives all of them again) is skipped: its covers were all refused.
+    those masks only through the transversals.  So one cover search
+    (_pair_cover, at most MAX_PAIR_SYSTEM pairs) runs over all masks, where
+    the first cover it finds is a pairing with no check needed, then once
+    per candidate witness v over the masks that miss v, where it returns the
+    first cover that check_pair_system confirms.  Targets are built one at a
+    time, and a target met before (a v in no mask gives all of them again)
+    is skipped: its search has failed already.
     """
     masks = minimal_pair_masks(dm, k)
-    targets = chain([masks], (tuple(m for m in masks if not m >> v & 1) for v in range(dm.n)))
-    searched = set()
-    for target in targets:
-        # an empty target (no masks, or v alone resolves) has no pair to offer
+    if masks:
+        pairs = _pair_cover(masks, MAX_PAIR_SYSTEM)
+        if pairs is not None:
+            return _pair_system(pairs), PairSystemCheck(PairSystemKind.PAIRING)
+    checked = None
+
+    def confirmed(pairs: tuple[int, ...]) -> bool:
+        nonlocal checked
+        checked = check_pair_system(dm, k, _pair_system(pairs))
+        return checked.kind is not PairSystemKind.NEITHER
+
+    searched = {masks}
+    for v in range(dm.n):
+        target = tuple(m for m in masks if not m >> v & 1)
+        # an empty target (v alone resolves) has no pair to offer
         if not target or target in searched:
             continue
         searched.add(target)
-        for pairs in _covers(target):
-            system = PairSystem(pairs=pairs)
-            check = check_pair_system(dm, k, system)
-            if check.kind is not PairSystemKind.NEITHER:
-                return system, check
+        pairs = _pair_cover(target, MAX_PAIR_SYSTEM, confirmed)
+        if pairs is not None:
+            return _pair_system(pairs), checked
     return None
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -152,11 +154,17 @@ class TestOutcome:
         solver = GameSolver(g, all_pairs_distances(g), 1)
         assert solver.outcome().symbol is OutcomeSymbol.M
         assert solver.stats.nodes <= 1_000
-        # danger ordering: C15 takes 222,090 nodes in the static degree order
+        # danger ordering: C15 takes 222,090 nodes in the static degree order;
+        # backtracking covers where the greedy misses one: C13 6,470 and C15
+        # 2,160 nodes with the greedy alone
+        g, dm = family("cycle", n=13)
+        solver = GameSolver(g, dm, 1)
+        assert solver.outcome().symbol is OutcomeSymbol.M
+        assert solver.stats.nodes <= 4_000
         g, dm = family("cycle", n=15)
         solver = GameSolver(g, dm, 1)
         assert solver.outcome().symbol is OutcomeSymbol.N
-        assert solver.stats.nodes <= 40_000
+        assert solver.stats.nodes <= 1_200
         # ordering and the cap cutoffs: C12 counts take 64,266 count nodes without them
         g, dm = family("cycle", n=12)
         solver = GameSolver(g, dm, 1)
@@ -164,11 +172,27 @@ class TestOutcome:
         assert solver.stats.count_nodes <= 30_000
 
     def test_memo_hits_counted(self):
-        # C13 still searches (6,470 nodes); the pairing cutoff settles C12 at the root
+        # C13 still searches (3,675 nodes); the pairing cutoff settles C12 at the root
         g, dm = family("cycle", n=13)
         solver = GameSolver(g, dm, 1)
         solver.outcome()
         assert solver.stats.tt_hits > 0
+
+    def test_dropped_solver_leaves_nothing_to_the_cycle_collector(self):
+        # the memos go with their solver at once, not when the cyclic collector runs
+        g, dm = family("cycle", n=13)
+        gc.disable()
+        try:
+            gc.collect()
+            solver = GameSolver(g, dm, 1)
+            solver.outcome()
+            solver.move_counts()
+            dead = weakref.ref(solver)
+            del solver
+            assert dead() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_one_memo_serves_both_games(self):
         # an M-game and a B-game position never share claim counts and side to

@@ -26,7 +26,7 @@ from mbresolve.resolve import (
     search_pair_system,
 )
 
-from oracles import brute_force_dim, direct_code, direct_is_resolving, naive_pair_system_kind
+from oracles import brute_force_dim, direct_code, direct_is_resolving, naive_least_cover, naive_pair_system_kind
 
 
 def family_dm(family, **kw):
@@ -271,8 +271,10 @@ class TestPairSystems:
         # the hub of K1,4 lies in no minimal mask, so its target is the full mask list again
         _, dm = family_dm("star", beta=4)
         targets = []
-        covers = resolve._covers
-        monkeypatch.setattr(resolve, "_covers", lambda target: targets.append(target) or covers(target))
+        cover = resolve._pair_cover
+        monkeypatch.setattr(
+            resolve, "_pair_cover", lambda target, *rest: targets.append(target) or cover(target, *rest)
+        )
         assert search_pair_system(dm, 1) is None
         assert len(targets) == len(set(targets)) == 5
 
@@ -285,6 +287,44 @@ class TestPairSystems:
         confirm = check_pair_system(dm, 1, system)
         assert confirm.kind is PairSystemKind.QUASI_PAIRING
         assert confirm.witnesses == check.witnesses
+
+
+class TestPairCover:
+    def test_matches_naive_least_cover(self):
+        rng = random.Random(14)
+        found = refused = 0
+        for _ in range(1500):
+            n = rng.randint(2, 8)
+            sizes = [rng.randint(2, min(n, 5)) for _ in range(rng.randint(1, 6))]
+            parts = [sum(1 << v for v in rng.sample(range(n), size)) for size in sizes]
+            left = rng.randint(0, 4)
+            least = naive_least_cover(parts)
+            pairs = resolve._pair_cover(parts, left)
+            if least is None or least > left:
+                assert pairs is None, (parts, left)
+                refused += 1
+                continue
+            assert pairs is not None and len(pairs) <= left, (parts, left)
+            assert all(p.bit_count() == 2 for p in pairs) and sum(pairs).bit_count() == 2 * len(pairs), (parts, pairs)
+            assert all(any(part & p == p for p in pairs) for part in parts), (parts, pairs)
+            found += 1
+        assert found > 300 and refused > 300
+
+    def test_finds_a_cover_the_greedy_misses(self):
+        # smallest part first, two lowest unused vertices: the greedy pairs {0,1}
+        # in {0,1,2}, then {2,3} in {2,3,4}, and {0,2,5} keeps one unused vertex.
+        # Branching on the part with the fewest unused vertices, {0,1} forces
+        # {2,5} and then {3,4}; with two pairs left it takes {0,2} and {3,4}.
+        parts = [0b111, 0b11100, 0b100101]
+        assert resolve._pair_cover(parts, 3) == (0b11, 0b100100, 0b11000)
+        assert resolve._pair_cover(parts, 2) == (0b101, 0b11000)
+        assert resolve._pair_cover(parts, 1) is None
+
+    def test_accept_refuses_covers(self):
+        # accept sees every cover the search meets until it takes one
+        seen = []
+        assert resolve._pair_cover([0b1111], 2, lambda pairs: seen.append(pairs) or len(seen) == 3) == (0b1001,)
+        assert seen == [(0b11,), (0b101,), (0b1001,)]
 
 
 class TestGapConditions:
