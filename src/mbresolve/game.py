@@ -275,19 +275,18 @@ class GameSolver:
 
         The search carries its state down the tree: each child receives its
         parent's free parts of the unhit masks (mask & ~breaker for every mask
-        Maker has not hit), in mask order, and the vertex just claimed.  One
-        fused loop filters that list into the child's own and scans it.  After
-        a Maker claim, the parts that hold his vertex drop out; after a
-        Breaker claim, her vertex is cleared from every part, and a part left
-        empty means she owns that mask outright and has won.  Only the entry
-        call lists the parts from the masks (on the empty board they are the
-        masks themselves); it settles a Breaker-owned mask there, so no
-        carried list holds an empty part and the Maker-claim filter needs no
-        empty test.  The potential, the threats, the danger scores, the
-        packing and the pairing cover all read that list, so a node costs
-        time in the unhit masks, not in all of them.  The pairing cover is
-        the greedy first and the backtracking resolve._pair_cover second,
-        under the conditions of the module docstring.
+        Maker has not hit), in mask order, and two masks.  One fused loop
+        filters that list into the child's own and scans it: a part that meets
+        drop leaves the list, every other part is cut down to keep, and a part
+        cut to nothing means Breaker owns that mask outright and has won.  A
+        Maker claim passes its vertex as drop and keeps everything; a Breaker
+        claim drops nothing and keeps all but her vertex; the entry call
+        passes the masks themselves with drop = maker and keep = ~breaker.
+        The potential, the threats, the danger scores, the packing and the
+        pairing cover all read that list, so a node costs time in the unhit
+        masks, not in all of them.  The pairing cover is the greedy first and
+        the backtracking resolve._pair_cover second, under the conditions of
+        the module docstring.
 
         The memo maps the position key of the module docstring to the value
         of an expanded node and is probed before that loop.  That is exact:
@@ -315,7 +314,7 @@ class GameSolver:
         # never hurts its owner (monotonicity), a pass never lets the winner
         # win sooner, nor delays the winner more, than a live claim does.
         def node(
-            maker: int, breaker: int, maker_to_move: bool, above: list[int] | tuple[int, ...], claimed: int
+            maker: int, breaker: int, maker_to_move: bool, above: list[int] | tuple[int, ...], drop: int, keep: int
         ) -> bool:
             key = ((maker << n) | breaker) << 1 | maker_to_move
             hit = memo_get(key)
@@ -327,31 +326,19 @@ class GameSolver:
             potential = 0
             min_free = n + 1  # more than any mask has
             smallest = 0
-            if maker_to_move:
-                # Breaker has just claimed: clear her vertex from every part
-                keep = ~claimed
-                for rest in above:
-                    rest &= keep
-                    if not rest:
-                        return False  # Breaker owns this mask outright
-                    parts.append(rest)
-                    live |= rest
-                    free = rest.bit_count()
-                    potential += unit >> free
-                    if free < min_free:
-                        min_free = free
-                        smallest = rest
-            else:
-                # Maker has just claimed: drop the parts of the masks he hit
-                for rest in above:
-                    if not rest & claimed:
-                        parts.append(rest)
-                        live |= rest
-                        free = rest.bit_count()
-                        potential += unit >> free
-                        if free < min_free:
-                            min_free = free
-                            smallest = rest
+            for rest in above:
+                if rest & drop:
+                    continue  # Maker has hit this mask
+                rest &= keep
+                if not rest:
+                    return False  # Breaker owns this mask outright
+                parts.append(rest)
+                live |= rest
+                free = rest.bit_count()
+                potential += unit >> free
+                if free < min_free:
+                    min_free = free
+                    smallest = rest
             if not live:
                 return True  # every mask hit: maker's set resolves
             if breaker_cap is not None and min_free > breaker_cap - breaker.bit_count():
@@ -426,13 +413,13 @@ class GameSolver:
             if maker_to_move:
                 result = False
                 for bit in order:
-                    if child(maker | bit, breaker, False, parts, bit):
+                    if child(maker | bit, breaker, False, parts, bit, -1):
                         result = True
                         break
             else:
                 result = True
                 for bit in order:
-                    if not child(maker, breaker | bit, True, parts, bit):
+                    if not child(maker, breaker | bit, True, parts, 0, ~bit):
                         result = False
                         break
             if len(memo) < limit:
@@ -441,17 +428,9 @@ class GameSolver:
 
         def search(maker: int, breaker: int, maker_to_move: bool) -> bool:
             nonlocal child
-            if maker | breaker:
-                not_breaker = ~breaker
-                parts = [m & not_breaker for m in masks if not m & maker]
-                if not all(parts):
-                    return False  # Breaker owns a mask outright
-            else:
-                parts = masks  # the empty board, where every search of a game starts
-            # no vertex is claimed on entry, so the first filter keeps every part
             child = node
             try:
-                return node(maker, breaker, maker_to_move, parts, 0)
+                return node(maker, breaker, maker_to_move, masks, maker, ~breaker)
             finally:
                 child = None
 

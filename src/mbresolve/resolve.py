@@ -188,28 +188,29 @@ def _least_hitting_set(masks: Sequence[int], budget: int) -> tuple[int, ...] | N
     has one, every hitting set has exactly that size, the search meets them
     in lexicographic order, and the first it returns is the least.
     """
+    return _extend_hitting_set(list(masks), 0, budget)
 
-    def extend(pending: list[int], low: int, budget: int) -> tuple[int, ...] | None:
-        if not pending:
-            return ()
-        passed = (1 << low) - 1
-        packed = 0
-        packing = 0
-        for m in pending:
-            if not m & packed:
-                packing += 1
-                if packing > budget:
-                    return None
-                packed |= m & ~passed
-        top = min(map(int.bit_length, pending)) - 1
-        for v in range(low, top + 1):
-            bit = 1 << v
-            found = extend([m for m in pending if not m & bit], v + 1, budget - 1)
-            if found is not None:
-                return (v,) + found
-        return None
 
-    return extend(list(masks), 0, budget)
+def _extend_hitting_set(pending: list[int], low: int, budget: int) -> tuple[int, ...] | None:
+    """The search of _least_hitting_set from vertex low on: at most budget vertices, none below low."""
+    if not pending:
+        return ()
+    passed = (1 << low) - 1
+    packed = 0
+    packing = 0
+    for m in pending:
+        if not m & packed:
+            packing += 1
+            if packing > budget:
+                return None
+            packed |= m & ~passed
+    top = min(map(int.bit_length, pending)) - 1
+    for v in range(low, top + 1):
+        bit = 1 << v
+        found = _extend_hitting_set([m for m in pending if not m & bit], v + 1, budget - 1)
+        if found is not None:
+            return (v,) + found
+    return None
 
 
 class PairSystemKind(Enum):

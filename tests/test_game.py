@@ -148,28 +148,26 @@ class TestOutcome:
         solver = GameSolver(g, dm, 1)
         assert solver.outcome().symbol is OutcomeSymbol.M
         assert solver.stats.nodes == 0
-        # the G(18, 0.3) draw of the ROADMAP baseline: the cutoff and threats settle it in 17 nodes
+        # the G(18, 0.3) draw of the ROADMAP baseline: settled before any node is expanded
         rng = random.Random(1)
         g = [random_connected_graph(n, 0.3, rng) for n in (12, 14, 16, 18)][3]
         solver = GameSolver(g, all_pairs_distances(g), 1)
         assert solver.outcome().symbol is OutcomeSymbol.M
-        assert solver.stats.nodes <= 1_000
-        # danger ordering: C15 takes 222,090 nodes in the static degree order;
-        # backtracking covers where the greedy misses one: C13 6,470 and C15
-        # 2,160 nodes with the greedy alone
+        assert solver.stats.nodes == 0
+        # exact counts: a change to any of them is a change to the search, to
+        # be measured and recorded, not absorbed by a loose bound
         g, dm = family("cycle", n=13)
         solver = GameSolver(g, dm, 1)
         assert solver.outcome().symbol is OutcomeSymbol.M
-        assert solver.stats.nodes <= 4_000
+        assert solver.stats.nodes == 3_675
         g, dm = family("cycle", n=15)
         solver = GameSolver(g, dm, 1)
         assert solver.outcome().symbol is OutcomeSymbol.N
-        assert solver.stats.nodes <= 1_200
-        # ordering and the cap cutoffs: C12 counts take 64,266 count nodes without them
+        assert solver.stats.nodes == 1_052
         g, dm = family("cycle", n=12)
         solver = GameSolver(g, dm, 1)
         solver.move_counts()
-        assert solver.stats.count_nodes <= 30_000
+        assert solver.stats.count_nodes == 2_417
 
     def test_memo_hits_counted(self):
         # C13 still searches (3,675 nodes); the pairing cutoff settles C12 at the root

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from mbresolve.errors import (
     VertexRangeError,
 )
 from mbresolve.families import FamilySpec, connected_graph_atlas, gen_family
+from mbresolve.game import certificate_fast_path
 from mbresolve.graph import all_pairs_distances, build_graph, twin_partition
 from mbresolve.resolve import (
     GapProfile,
@@ -193,6 +195,20 @@ class TestMetricDimension:
         _, dm = family_dm("path", n=6)
         with pytest.raises(SizeCapError):
             metric_dimension_k(dm, 1, size_cap=5)
+
+    def test_search_leaves_nothing_to_the_cycle_collector(self):
+        # the branch-and-bound recursion forms no reference cycle, so each
+        # search's frames and lists go as soon as it returns
+        g, dm = family_dm("cycle", n=9)
+        gc.disable()
+        try:
+            gc.collect()
+            metric_dimension_k(dm, 1)
+            assert gc.collect() == 0
+            certificate_fast_path(g, dm, 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_single_vertex(self):
         dm = all_pairs_distances(build_graph(1, []))
