@@ -18,6 +18,7 @@ game.MEMO_LIMIT.  verify-paper runs fixed instances and takes no limits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -170,8 +171,7 @@ def cmd_solve(args) -> int:
                 "witnesses": list(cert.witnesses),
             }
         entry["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
-        entry["stats"] = {"nodes": solver.stats.nodes, "tt_entries": solver.stats.tt_entries,
-                          "tt_hits": solver.stats.tt_hits, "count_nodes": solver.stats.count_nodes}
+        entry["stats"] = dataclasses.asdict(solver.stats)
         per_k.append(entry)
     report: dict = {"graph": descriptor, "k": args.k, "per_k": per_k}
     if args.k == "all" and args.game == "both":

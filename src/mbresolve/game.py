@@ -63,6 +63,18 @@ exact reductions are always on; each leaves every node's value unchanged:
   claiming either one leads to positions of the same value.  Only the lowest
   unclaimed vertex of each twin class is tried, except for a forced threat
   move, which is the one move tried.
+- Symmetry at the first two plies.  An automorphism of the graph keeps
+  distances, so it maps masks to masks; one that fixes every claimed vertex
+  maps the position to itself, and claiming v or its image leads to
+  positions of the same value.  At a node with at most one claimed vertex
+  whose first tried move did not settle it, a move is skipped when it lies
+  in the orbit of a move already tried, under automorphisms that fix the
+  claimed vertex.  The orbits come from graph._vertex_orbits, per claim,
+  and are those of a subgroup of that stabilizer, which is all the
+  argument needs: a search cut short only gives finer orbits and skips
+  less.  No search is run when no two of the node's moves share a colour
+  (an invariant of the vertex under those automorphisms), since then no two
+  share an orbit.
 
 Both sides try their moves in decreasing order of danger, the sum of
 2^-|free part| over the unhit masks that hold the vertex; that is the vertex
@@ -79,9 +91,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from operator import mul
 
 from .errors import CountUndefinedError, InvariantError, SizeCapError, VertexRangeError
-from .graph import DistanceMatrix, Graph
+from .graph import DistanceMatrix, Graph, _vertex_orbits
 from .resolve import (
     DEFAULT_SIZE_CAP,
     PairSystem,
@@ -231,13 +244,75 @@ class SolverStats:
     nodes and tt_hits count the expanded nodes and the memo hits of the
     uncapped searches behind maker_wins, and tt_entries the entries of their
     one memo; count_nodes counts the expanded nodes of the capped searches
-    behind move counts.
+    behind move counts, and orbit_searches the vertex-orbit searches of all
+    of them.
     """
 
     nodes: int = 0
     tt_entries: int = 0
     tt_hits: int = 0
     count_nodes: int = 0
+    orbit_searches: int = 0
+
+
+class _OrbitCache:
+    """Vertex orbits under the automorphisms that fix the claimed vertex, if any, per claim.
+
+    Called with the bit of the claimed vertex (0: the empty board) and the
+    moves of a node, it returns each vertex's orbit as a bitmask, or None
+    when no two moves share a colour, so that no two share an orbit and no
+    search is run.  A vertex's colour is its distance-row sum and its
+    distance to the claimed vertex; two moves that tie on those are told
+    apart by the sums, over every vertex w, of their distance to w times
+    w's row sum, and times w's distance to the claimed vertex.  Each search
+    counts in stats.orbit_searches, and its orbits are kept: at most 1 + n
+    entries.
+    """
+
+    def __init__(self, graph: Graph, dm: DistanceMatrix, twin_masks: tuple[int, ...], stats: SolverStats):
+        self.graph = graph
+        self.dm = dm
+        self.twin_masks = twin_masks
+        self.stats = stats
+        self.sums: list[int] | None = None  # each vertex's distance row sum, on first use
+        self.orbits: dict[int, tuple[int, ...]] = {}
+
+    def __call__(self, claim: int, moves: int) -> tuple[int, ...] | None:
+        orbits = self.orbits.get(claim)
+        if orbits is None:
+            if not self.colours_shared(claim, moves):
+                return None
+            self.stats.orbit_searches += 1
+            fixed = claim.bit_length() - 1
+            orbits = self.orbits[claim] = _vertex_orbits(self.graph, self.dm, self.twin_masks, fixed)[0]
+        return orbits
+
+    def colours_shared(self, claim: int, moves: int) -> bool:
+        dist = self.dm.dist
+        n = self.graph.n
+        if self.sums is None:
+            self.sums = [sum(row) for row in dist]
+        sums = self.sums
+        far = dist[claim.bit_length() - 1] if claim else [0] * n
+        tied: dict[int, list[int]] = {}
+        shared = False
+        while moves:
+            low = moves & -moves
+            v = low.bit_length() - 1
+            colour = sums[v] * n + far[v]
+            if colour in tied:
+                shared = True
+                tied[colour].append(v)
+            else:
+                tied[colour] = [v]
+            moves ^= low
+        if shared:
+            for same in tied.values():
+                if len(same) > 1:
+                    weighed = {(sum(map(mul, dist[v], sums)), sum(map(mul, dist[v], far))) for v in same}
+                    if len(weighed) < len(same):
+                        return True
+        return False
 
 
 class GameSolver:
@@ -259,6 +334,7 @@ class GameSolver:
         self._twin_masks = tuple(sum(1 << v for v in cls) for cls in _twin_classes(self.masks))
         self._memo: dict[int, bool] = {}
         self.stats = SolverStats()
+        self._orbits = _OrbitCache(graph, dm, self._twin_masks, self.stats)
         self._search = self._searcher(self._memo, self.stats)
 
     # -- winner search ---------------------------------------------------
@@ -303,6 +379,7 @@ class GameSolver:
         breaker_cap = None if cap_maker else cap
         es_bound = unit if maker_cap is None else 0  # no potential is below 0
         memo_get = memo.get
+        stabilizer_orbits = self._orbits
         # node recurses through child, which is bound only while a search
         # runs: a function that named itself would form a reference cycle,
         # and the memo it holds would outlive the solver until the cyclic
@@ -410,18 +487,27 @@ class GameSolver:
                 order = sorted(danger, key=danger.__getitem__, reverse=True)
             else:
                 order = (moves,)
-            if maker_to_move:
-                result = False
-                for bit in order:
-                    if child(maker | bit, breaker, False, parts, bit, -1):
-                        result = True
-                        break
-            else:
-                result = True
-                for bit in order:
-                    if not child(maker, breaker | bit, True, parts, 0, ~bit):
-                        result = False
-                        break
+            claims = maker | breaker
+            # at most one claim and another move to try: prune by orbits after a refuted move
+            lookup = not claims & (claims - 1) and moves & (moves - 1)
+            orbits = None
+            skip = 0  # moves in the orbit of a refuted move
+            result = not maker_to_move  # the value when no move settles the node
+            for bit in order:
+                if bit & skip:
+                    continue
+                if maker_to_move:
+                    settled = child(maker | bit, breaker, False, parts, bit, -1)
+                else:
+                    settled = not child(maker, breaker | bit, True, parts, 0, ~bit)
+                if settled:
+                    result = maker_to_move
+                    break
+                if lookup:
+                    lookup = False
+                    orbits = stabilizer_orbits(claims, moves)
+                if orbits is not None:
+                    skip |= orbits[bit.bit_length() - 1]
             if len(memo) < limit:
                 memo[key] = result
             return result

@@ -232,9 +232,9 @@ _closed_form(
 )
 _closed_form(
     "cycles.level1-odd-records",
-    "outcome M on the odd cycles of order 11, 13 and 15 from level 2 upward; level 1 has no "
+    "outcome M on the odd cycles of order 11, 13, 15 and 17 from level 2 upward; level 1 has no "
     "closed form and is recorded",
-    (FamilySpec.make("cycle", n=n) for n in (11, 13, 15)),
+    (FamilySpec.make("cycle", n=n) for n in (11, 13, 15, 17)),
 )
 _closed_form(
     "wheels.small",

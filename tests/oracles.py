@@ -8,7 +8,7 @@ moves with no pruning or mask structure.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from mbresolve.graph import DistanceMatrix, truncated_distance
 
@@ -73,6 +73,20 @@ def naive_least_cover(parts) -> int | None:
 
     extend(list(parts), 0, 0)
     return best
+
+
+def naive_automorphisms(n: int, edges) -> list[tuple[int, ...]]:
+    """Every automorphism of the graph on 0..n-1 with these edges, by trying all n! permutations."""
+    if n > 7:
+        raise ValueError(f"{n}! permutations are too many to try")
+    edge_set = {frozenset(e) for e in edges}
+    return [p for p in permutations(range(n)) if all(frozenset((p[u], p[v])) in edge_set for u, v in edges)]
+
+
+def naive_orbits(automorphisms, n: int, fixed: int | None = None) -> tuple[frozenset[int], ...]:
+    """Each vertex's orbit under the automorphisms that fix the vertex fixed (all of them if None)."""
+    group = [p for p in automorphisms if fixed is None or p[fixed] == fixed]
+    return tuple(frozenset(p[v] for p in group) for v in range(n))
 
 
 def naive_maker_wins(dm: DistanceMatrix, k: int, maker: frozenset, breaker: frozenset, maker_to_move: bool, memo=None) -> bool:

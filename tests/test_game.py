@@ -156,41 +156,64 @@ class TestOutcome:
         assert solver.stats.nodes == 0
         # exact counts: a change to any of them is a change to the search, to
         # be measured and recorded, not absorbed by a loose bound
-        g, dm = family("cycle", n=13)
-        solver = GameSolver(g, dm, 1)
-        assert solver.outcome().symbol is OutcomeSymbol.M
-        assert solver.stats.nodes == 3_675
-        g, dm = family("cycle", n=15)
-        solver = GameSolver(g, dm, 1)
-        assert solver.outcome().symbol is OutcomeSymbol.N
-        assert solver.stats.nodes == 1_052
+        for n, symbol, nodes in ((13, OutcomeSymbol.M, 318), (15, OutcomeSymbol.N, 550), (17, OutcomeSymbol.M, 5_722)):
+            g, dm = family("cycle", n=n)
+            solver = GameSolver(g, dm, 1)
+            assert solver.outcome().symbol is symbol
+            assert solver.stats.nodes == nodes, n
         g, dm = family("cycle", n=12)
         solver = GameSolver(g, dm, 1)
         solver.move_counts()
-        assert solver.stats.count_nodes == 2_417
+        assert solver.stats.count_nodes == 407
 
     def test_memo_hits_counted(self):
-        # C13 still searches (3,675 nodes); the pairing cutoff settles C12 at the root
+        # C13 still searches (318 nodes); the pairing cutoff settles C12 at the root
         g, dm = family("cycle", n=13)
         solver = GameSolver(g, dm, 1)
         solver.outcome()
         assert solver.stats.tt_hits > 0
 
     def test_dropped_solver_leaves_nothing_to_the_cycle_collector(self):
-        # the memos go with their solver at once, not when the cyclic collector runs
-        g, dm = family("cycle", n=13)
+        # the memos and the orbit cache go with their solver at once, not when the cyclic collector runs
         gc.disable()
         try:
-            gc.collect()
-            solver = GameSolver(g, dm, 1)
-            solver.outcome()
-            solver.move_counts()
-            dead = weakref.ref(solver)
-            del solver
-            assert dead() is None
-            assert gc.collect() == 0
+            for n in (13, 12):  # C12's counts search orbits
+                g, dm = family("cycle", n=n)
+                gc.collect()
+                solver = GameSolver(g, dm, 1)
+                solver.outcome()
+                solver.move_counts()
+                searched = solver.stats.orbit_searches
+                dead = weakref.ref(solver)
+                del solver
+                assert dead() is None
+                assert gc.collect() == 0
+            assert searched > 0
         finally:
             gc.enable()
+
+    def test_one_claim_positions_match_naive_oracle(self):
+        # the positions pruned by orbits: the empty board and one claim, on symmetric graphs
+        cube = build_graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])  # C4 x K2
+        graphs = {"C7": family("cycle", n=7), "C8": family("cycle", n=8), "K(3,3)": family("multipartite", parts=(3, 3)),
+                  "K(2,2,2)": family("multipartite", parts=(2, 2, 2)), "C4xK2": (cube, all_pairs_distances(cube))}
+        searched = set()
+        empty = frozenset()
+        for name, (g, dm) in graphs.items():
+            solver = GameSolver(g, dm, 1)
+            memo: dict = {}
+            for v in range(g.n):
+                # the M-game after Maker claims v, and the B-game after Breaker claims v
+                got = solver.maker_wins(1 << v, 0, False, True)
+                assert got == naive_maker_wins(dm, 1, frozenset({v}), empty, False, memo), (name, v)
+                got = solver.maker_wins(0, 1 << v, True, False)
+                assert got == naive_maker_wins(dm, 1, empty, frozenset({v}), True, memo), (name, v)
+            for maker_first in (True, False):
+                assert solver.winner_move_count(maker_first) == naive_winner_count(dm, 1, maker_first), name
+            if solver.stats.orbit_searches:
+                searched.add(name)
+        # every node of K(2,2,2) is settled by its first move or has no two moves of one colour
+        assert searched == {"C7", "C8", "K(3,3)", "C4xK2"}
 
     def test_one_memo_serves_both_games(self):
         # an M-game and a B-game position never share claim counts and side to

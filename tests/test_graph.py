@@ -2,16 +2,20 @@ import itertools
 
 import pytest
 
+from mbresolve import graph
 from mbresolve.errors import DisconnectedError, LoopEdgeError, VertexRangeError
-from mbresolve.families import FamilySpec, gen_family
+from mbresolve.families import FamilySpec, connected_graph_atlas, gen_family
 from mbresolve.graph import (
     TwinClassKind,
+    _vertex_orbits,
     all_pairs_distances,
     are_twins,
     build_graph,
     truncated_distance,
     twin_partition,
 )
+
+from oracles import naive_automorphisms, naive_orbits
 
 
 def petersen():
@@ -158,3 +162,49 @@ class TestTwinPartition:
                 perm[u], perm[w] = w, u
                 swapped = {(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g.edges}
                 assert swapped == g.edges
+
+
+def twin_masks(g):
+    return [sum(1 << v for v in cls) for cls in twin_partition(g).classes_of_size(2)]
+
+
+def orbit_sets(g, fixed=-1):
+    orbits, complete = _vertex_orbits(g, all_pairs_distances(g), twin_masks(g), fixed)
+    return tuple(frozenset(w for w in range(g.n) if orbits[v] >> w & 1) for v in range(g.n)), complete
+
+
+@pytest.fixture(scope="module")
+def atlas_automorphisms():
+    return [(g, naive_automorphisms(g.n, g.edges)) for g in connected_graph_atlas(max_n=6)]
+
+
+class TestVertexOrbits:
+    def test_match_brute_force_on_atlas(self, atlas_automorphisms):
+        for g, autos in atlas_automorphisms:
+            for fixed in range(-1, g.n):
+                got, complete = orbit_sets(g, fixed)
+                # the search bound is far above what these graphs need, so every search ends
+                assert complete, (sorted(g.edges), fixed)
+                assert got == naive_orbits(autos, g.n, None if fixed < 0 else fixed), (sorted(g.edges), fixed)
+
+    def test_a_search_cut_short_only_splits_orbits(self, atlas_automorphisms, monkeypatch):
+        monkeypatch.setattr(graph, "_ORBIT_SEARCH_NODES", 1)
+        cut = 0
+        for g, autos in atlas_automorphisms:
+            for fixed in range(-1, g.n):
+                got, complete = orbit_sets(g, fixed)
+                want = naive_orbits(autos, g.n, None if fixed < 0 else fixed)
+                assert all(a <= b for a, b in zip(got, want)), (sorted(g.edges), fixed)
+                cut += not complete
+        assert cut > 0
+
+    @pytest.mark.parametrize("name, g", [
+        ("C12", gen_family(FamilySpec.make("cycle", n=12))),
+        ("Petersen", petersen()),
+        ("Q3", build_graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])),
+        ("K(3,3,3)", gen_family(FamilySpec.make("multipartite", parts=(3, 3, 3)))),
+    ])
+    def test_vertex_transitive_graphs_have_one_orbit(self, name, g):
+        got, complete = orbit_sets(g)
+        assert complete
+        assert set(got) == {frozenset(range(g.n))}, name
