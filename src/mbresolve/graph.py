@@ -180,209 +180,104 @@ def twin_partition(g: Graph) -> TwinPartition:
     return TwinPartition(classes=classes, kinds=tuple(kind_of[c] for c in classes))
 
 
-# individualisations one orbit search may run; past the bound it returns the orbits found so far
+# extension steps shared by the searches of one _vertex_orbits call; past it, the orbits found so far are returned
 _ORBIT_SEARCH_NODES = 2_000
 
 
 def _vertex_orbits(g: Graph, dm: DistanceMatrix, twin_masks, fixed: int = -1) -> tuple[tuple[int, ...], bool]:
     """Orbits of a subgroup of Aut(g) that fixes the vertex fixed (-1: none), and whether it is all of it.
 
-    Returns one bitmask per vertex, the orbit that holds it.  The search
-    works on a collapsed graph, where each vertex stands for a module whose
-    vertices any automorphism of the module's parts may permute:
-
-    - twin_masks are g's twin classes as bitmasks; swapping two twins is an
-      automorphism, so each class, fixed split off, is collapsed to one
-      vertex, coloured by its size and kind, its distance row's sum and its
-      distance to the fixed vertex;
-    - classes of one colour that are twins once collapsed (the same
-      neighbours outside the two), as the equal parts of a complete
-      multipartite graph are, are collapsed once more, coloured by their
-      number and kind.
-
-    Individualising a collapsed vertex splits every colour by the distance
-    to it, so individualising along a base makes every colour distinct.  A
-    backtracking search over the images of the base then finds, level by
-    level from the deepest, an automorphism for each orbit of the base
-    vertex not yet joined (McKay and Piperno, J. Symbolic Comput. 60, 2014).
-    Each permutation is checked against g's edges before its orbits are
-    joined, so the result is exact whatever the search finds.  The search
-    stops after _ORBIT_SEARCH_NODES individualisations; the orbits found by
-    then are finer, still exact, and the flag is False.
+    Returns one bitmask per vertex, the orbit that holds it.  twin_masks are
+    g's twin classes as bitmasks; swapping two twins is an automorphism, so
+    each class, fixed split off, starts as one orbit.  Vertices are coloured
+    by their distance-row sum and their distance to the fixed vertex, which
+    every automorphism that fixes it keeps.  Within a colour, each vertex
+    not yet joined to an earlier orbit is the target of a search from each
+    earlier orbit's first vertex: a backtracking search for a permutation
+    that keeps every distance, maps that first vertex to the target and
+    fixes the fixed vertex.  A permutation that keeps every distance keeps
+    every edge, so each one found is an automorphism, and its cycles are
+    joined.  All the searches share _ORBIT_SEARCH_NODES extension steps;
+    past the bound the orbits found by then are finer, still exact, and the
+    flag is False.
     """
     n = g.n
     dist = dm.dist
+    parent = list(range(n))  # union-find of the orbits joined so far
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
     split = 1 << fixed if fixed >= 0 else 0
-    classes = []
-    covered = 0
     for twins in twin_masks:
         twins &= ~split
-        if twins & (twins - 1):
-            classes.append(twins)
-            covered |= twins
-    classes += [1 << v for v in range(n) if not covered >> v & 1]
-    lows = [(c & -c).bit_length() - 1 for c in classes]
-    width = n + 1  # more than any distance or class size
-    keys = []
-    for c, v in zip(classes, lows):
-        row = dist[v]
-        twin = c ^ (1 << v)
-        clique = twin != 0 and row[(twin & -twin).bit_length() - 1] == 1
-        keys.append(((sum(row) * width + (row[fixed] if fixed >= 0 else 0)) * width + c.bit_count()) * 2 + clique)
-    by_key: dict[int, list[int]] = {}
-    for j, key in enumerate(keys):
-        by_key.setdefault(key, []).append(j)
-    groups = []  # lists of class indices, each a module collapsed to one vertex
-    for same in by_key.values():
-        if len(same) == 1:
-            groups.append(same)
-            continue
-        near = {j: sum(1 << w for w in g.adjacency[lows[j]]) for j in same}
-        local: list[list[int]] = []
-        for j in same:
-            for group in local:
-                first = group[0]
-                if not (near[first] ^ near[j]) & ~(classes[first] | classes[j]):
-                    group.append(j)
+        first = (twins & -twins).bit_length() - 1
+        for v in range(first + 1, twins.bit_length()):
+            if twins >> v & 1:
+                parent[v] = first
+    keys = [(sum(row), row[fixed] if fixed >= 0 else 0) for row in dist]
+    colours: dict[tuple[int, int], int] = {}
+    for v, key in enumerate(keys):
+        colours[key] = colours.get(key, 0) | 1 << v
+    colour_of = [colours[key] for key in keys]
+    at = [[0] * (dm.diameter + 1) for _ in range(n)]  # at[v][d]: the vertices at distance d from v
+    for v, row in enumerate(dist):
+        for w, d in enumerate(row):
+            at[v][d] |= 1 << w
+    steps = [_ORBIT_SEARCH_NODES]
+    image = list(range(n))  # the fixed vertex keeps its own image
+    for colour in colours.values():
+        firsts: list[int] = []  # each orbit's first vertex in this colour
+        while colour and steps[0] >= 0:
+            low = colour & -colour
+            colour ^= low
+            v = low.bit_length() - 1
+            if any(find(first) == find(v) for first in firsts):
+                continue
+            for first in firsts:
+                open_images = {x: colour_of[x] for x in range(n) if x != first and x != fixed}
+                if _extend(dist, at, image, steps, first, v, open_images):
+                    for x in range(n):
+                        parent[find(x)] = find(image[x])
                     break
             else:
-                local.append([j])
-        groups += local
-    colours = _ranks([
-        (keys[group[0]] * width + len(group)) * 2 + (len(group) > 1 and lows[group[1]] in g.adjacency[lows[group[0]]])
-        for group in groups
-    ])
-    modules = [sum(classes[j] for j in group) for group in groups]  # the classes are disjoint
-    if len(set(colours)) == len(colours):
-        return _per_vertex(n, modules, range(len(modules))), True
-    search = _OrbitSearch(g, dist, [lows[group[0]] for group in groups], [
-        [v for j in group for v in range(lows[j], classes[j].bit_length()) if classes[j] >> v & 1] for group in groups
-    ], fixed)
-    roots = search.run(colours)
-    return _per_vertex(n, modules, roots), not search.exhausted
-
-
-def _per_vertex(n: int, modules: list[int], roots) -> tuple[int, ...]:
-    """Each vertex's orbit, from the modules and the orbit root of each."""
+                firsts.append(v)
     orbits: dict[int, int] = {}
-    for module, root in zip(modules, roots):
-        orbits[root] = orbits.get(root, 0) | module
-    per_vertex = [0] * n
-    for module, root in zip(modules, roots):
-        orbit = orbits[root]
-        while module:
-            low = module & -module
-            per_vertex[low.bit_length() - 1] = orbit
-            module ^= low
-    return tuple(per_vertex)
+    for v in range(n):
+        orbits[find(v)] = orbits.get(find(v), 0) | 1 << v
+    return tuple(orbits[find(v)] for v in range(n)), steps[0] >= 0
 
 
-def _ranks(signatures: list) -> list[int]:
-    """Each signature's rank among the distinct ones."""
-    names = {s: i for i, s in enumerate(sorted(set(signatures)))}
-    return [names[s] for s in signatures]
+def _extend(dist, at, image: list[int], steps: list[int], u: int, w: int, open_images: dict[int, int]) -> bool:
+    """Map u to w, then each vertex of open_images to one of its open images, so that every distance is kept.
 
-
-class _OrbitSearch:
-    """The backtracking search of _vertex_orbits over the collapsed graph; see there."""
-
-    def __init__(self, g: Graph, dist, reps: list[int], members: list[list[int]], fixed: int):
-        self.g = g
-        self.dist = dist
-        self.reps = reps  # a vertex of each module, whose distances to the other modules are its members'
-        self.members = members  # each module's vertices, class by class, in the order an image keeps
-        self.fixed = fixed
-        self.width = g.n  # more than any distance
-        self.individualised = 0
-        self.exhausted = False
-        # the first path: (colouring, target colour, base vertex) per level, and each level's sorted colours
-        self.path: list[tuple[list[int], int, int]] = []
-        self.sizes: list[list[int]] = []
-        self.leaf = [0] * len(reps)  # colour -> module at the first path's leaf
-        self.parent = list(range(len(reps)))  # union-find of the orbits joined so far
-
-    def individualise(self, colours: list[int], v: int) -> list[int]:
-        """Each colour split by the distance to v, which gets a colour of its own."""
-        self.individualised += 1
-        row, width = self.dist[self.reps[v]], self.width
-        return _ranks([c * width + row[w] for c, w in zip(colours, self.reps)])
-
-    def run(self, colours: list[int]) -> list[int]:
-        """Each module's orbit root after the search from the given colouring."""
-        m = len(self.reps)
-        # the first path: individualise the first vertex of the lowest colour shared by several
-        while True:
-            ordered = sorted(colours)
-            self.sizes.append(ordered)
-            target = next((c for c, d in zip(ordered, ordered[1:]) if c == d), None)
-            if target is None:
-                break
-            base = colours.index(target)
-            self.path.append((colours, target, base))
-            colours = self.individualise(colours, base)
-        for j, c in enumerate(colours):
-            self.leaf[c] = j
-        # deepest level first, so the automorphisms found below prune the levels above
-        for depth in reversed(range(len(self.path))):
-            colours, target, base = self.path[depth]
-            for w in range(m):
-                if colours[w] != target or self.find(w) == self.find(base):
-                    continue
-                image = self.extend(colours, w, depth)
-                if self.exhausted:
-                    break
-                if image is not None:
-                    for j, i in enumerate(image):
-                        self.parent[self.find(j)] = self.find(i)
-        return [self.find(j) for j in range(m)]
-
-    def find(self, j: int) -> int:
-        parent = self.parent
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    def extend(self, colours: list[int], v: int, depth: int) -> list[int] | None:
-        """An automorphism that fixes the first depth base vertices and maps the next one to v, or None.
-
-        It maps the first path's leaf onto a leaf below v; each level tries
-        every vertex of the first path's target colour.
-        """
-        if self.individualised >= _ORBIT_SEARCH_NODES:
-            self.exhausted = True
-            return None
-        colours = self.individualise(colours, v)
-        depth += 1
-        if sorted(colours) != self.sizes[depth]:
-            return None  # no automorphism maps the first path's node at this depth here
-        if depth == len(self.path):
-            image = [0] * len(colours)
-            for j, c in enumerate(colours):
-                image[self.leaf[c]] = j
-            return image if self.is_automorphism(image) else None
-        target = self.path[depth][1]
-        for x, c in enumerate(colours):
-            if c == target:
-                image = self.extend(colours, x, depth)
-                if image is not None or self.exhausted:
-                    return image
-        return None
-
-    def is_automorphism(self, image: list[int]) -> bool:
-        """Does mapping each module onto its image's, vertex by vertex in order, keep every edge an edge?"""
-        sigma = [0] * self.g.n
-        for j, i in enumerate(image):
-            source, dest = self.members[j], self.members[i]
-            if len(source) != len(dest):
-                return False
-            for v, w in zip(source, dest):
-                sigma[v] = w
-        if self.fixed >= 0 and sigma[self.fixed] != self.fixed:
+    The map goes into image.  steps holds the extension steps left, and is
+    set to -1 when a search wants one more.
+    """
+    if steps[0] <= 0:
+        steps[0] = -1
+        return False
+    steps[0] -= 1
+    image[u] = w
+    row, at_w = dist[u], at[w]
+    narrowed = {}
+    fewest = len(dist) + 1
+    for y, images in open_images.items():
+        images &= at_w[row[y]]  # never holds w itself, as row[y] > 0
+        if not images:
             return False
-        # sigma is a bijection, so mapping the edges into the edge set maps them onto it
-        adjacency = self.g.adjacency
-        for u, v in self.g.edges:
-            if sigma[v] not in adjacency[sigma[u]]:
-                return False
+        narrowed[y] = images
+        if images.bit_count() < fewest:  # map the vertex with the fewest open images next
+            x, fewest = y, images.bit_count()
+    if not narrowed:
         return True
+    images = narrowed.pop(x)
+    while images and steps[0] >= 0:
+        low = images & -images
+        images ^= low
+        if _extend(dist, at, image, steps, x, low.bit_length() - 1, narrowed):
+            return True
+    return False

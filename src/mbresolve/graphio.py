@@ -67,13 +67,13 @@ def _loads_text(text: str) -> Graph:
             body = line[1:].strip()
             if body.startswith("label "):
                 parts = body.split(maxsplit=2)
-                if len(parts) != 3 or not parts[1].isdigit():
+                if len(parts) != 3 or not parts[1].isdecimal():
                     raise GraphParseError(f"malformed label directive: {line!r}", line=lineno)
                 labels[int(parts[1])] = parts[2]
             continue
         fields = line.split()
         if n is None:
-            if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
+            if len(fields) != 2 or fields[0] != "n" or not fields[1].isdecimal():
                 raise GraphParseError(f'first data line must be "n <count>", got {line!r}', line=lineno)
             n = int(fields[1])
             continue

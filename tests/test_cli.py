@@ -106,15 +106,18 @@ class TestSolve:
         assert code == 0
 
     def test_report_determinism(self, capsys):
-        args = ("solve", "--family", "thm_d", "-k", "all", "--counts")
-        _, first = run_json(capsys, *args)
-        _, second = run_json(capsys, *args)
-        for report in (first, second):
-            report.pop("timing")
-            for entry in report["per_k"]:
-                entry.pop("timing")
-                entry.pop("stats")
-        assert first == second
+        for args in (
+            ("solve", "--family", "thm_d", "-k", "all", "--counts"),
+            ("solve", "--family", "cycle", "--n", "12", "-k", "all", "--counts"),  # prunes by vertex orbits
+        ):
+            _, first = run_json(capsys, *args)
+            _, second = run_json(capsys, *args)
+            for report in (first, second):
+                report.pop("timing")
+                for entry in report["per_k"]:
+                    entry.pop("timing")
+                    entry.pop("stats")
+            assert first == second, args
 
 
 class TestDim:

@@ -168,6 +168,12 @@ def twin_masks(g):
     return [sum(1 << v for v in cls) for cls in twin_partition(g).classes_of_size(2)]
 
 
+def cayley_graph(m, steps):
+    """The Cayley graph of Z_m x Z_m whose edges join vertices that differ by one of the given steps."""
+    return build_graph(m * m, [(a, b) for a, b in itertools.combinations(range(m * m), 2)
+                               if ((b // m - a // m) % m, (b % m - a % m) % m) in steps])
+
+
 def orbit_sets(g, fixed=-1):
     orbits, complete = _vertex_orbits(g, all_pairs_distances(g), twin_masks(g), fixed)
     return tuple(frozenset(w for w in range(g.n) if orbits[v] >> w & 1) for v in range(g.n)), complete
@@ -203,6 +209,13 @@ class TestVertexOrbits:
         ("Petersen", petersen()),
         ("Q3", build_graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])),
         ("K(3,3,3)", gen_family(FamilySpec.make("multipartite", parts=(3, 3, 3)))),
+        # diameter 2-3, so row sums and distances split nothing: the hardest inputs for the search
+        ("Shrikhande", cayley_graph(4, {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)})),
+        ("Paley(17)", build_graph(17, [(a, b) for a, b in itertools.combinations(range(17), 2)
+                                       if (b - a) % 17 in {1, 2, 4, 8, 9, 13, 15, 16}])),
+        ("4x4 rook's graph", cayley_graph(4, {(0, d) for d in (1, 2, 3)} | {(d, 0) for d in (1, 2, 3)})),
+        # points 0-6 and lines 7-13 of the Fano plane, point i on line j iff i - j is 0, 1 or 3 mod 7
+        ("Heawood", build_graph(14, [(i, 7 + j) for i in range(7) for j in range(7) if (i - j) % 7 in {0, 1, 3}])),
     ])
     def test_vertex_transitive_graphs_have_one_orbit(self, name, g):
         got, complete = orbit_sets(g)

@@ -63,6 +63,14 @@ class TestTextFormat:
         with pytest.raises(GraphParseError):
             graphio.loads("# label x hub\nn 2\n0 1\n")
 
+    @pytest.mark.parametrize("text", [
+        "n \u00b2\n0 1\n",  # "²" is a digit to str.isdigit, but int() rejects it
+        "# label \u00b2 hub\nn 2\n0 1\n",
+    ])
+    def test_superscript_count_or_label_id_rejected(self, text):
+        with pytest.raises(GraphParseError):
+            graphio.loads(text)
+
     def test_semantic_errors_propagate(self):
         with pytest.raises(DisconnectedError):
             graphio.loads("n 4\n0 1\n2 3\n")
