@@ -46,7 +46,9 @@ exact reductions are always on; each leaves every node's value unchanged:
   are not capped and some greedy pick was a choice (its part had three or
   more unused vertices), it runs the backtracking search
   resolve._pair_cover, which finds a cover whenever one exists unless it
-  stops at resolve.PAIR_SEARCH_NODES branching nodes.  If every pick was
+  stops at resolve.PAIR_SEARCH_NODES branching nodes.  At the empty board
+  that search is resolve._root_cover, computed once per mask set and shared
+  with resolve.search_pair_system.  If every pick was
   forced (its part had exactly two unused vertices), each of those pairs is
   in every cover, by induction: a cover's pair inside the part is disjoint
   from the forced pairs before it, so it is the part's one unused pair.
@@ -83,7 +85,9 @@ potential most.  Ties keep the order in which the vertices first appear in
 the free parts, lowest vertex first within a part; the parts are read in
 mask order (smallest first), or by free-part size under a cap on Maker.
 Ordering changes only which move is tried first, never a node's value.  No
-reduction changes the memo key, and none stores a node it settles.
+reduction changes the memo key.  A node a reduction settles is not stored,
+except the entry position of a search: its value is stored whatever settled
+it, so asking for it again costs one memo probe.
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ from .resolve import (
     _least_hitting_set,
     _pair_cover,
     _require_in_range,
+    _root_cover,
     _twin_classes,
     minimal_pair_masks,
     search_pair_system,
@@ -243,9 +248,10 @@ class SolverStats:
 
     nodes and tt_hits count the expanded nodes and the memo hits of the
     uncapped searches behind maker_wins, and tt_entries the entries of their
-    one memo; count_nodes counts the expanded nodes of the capped searches
-    behind move counts, and orbit_searches the vertex-orbit searches of all
-    of them.
+    one memo: the expanded nodes, and each entry position a cutoff settled
+    (see _searcher).  count_nodes counts the expanded nodes of the capped
+    searches behind move counts, and orbit_searches the vertex-orbit
+    searches of all of them.
     """
 
     nodes: int = 0
@@ -362,13 +368,17 @@ class GameSolver:
         pairing cover all read that list, so a node costs time in the unhit
         masks, not in all of them.  The pairing cover is the greedy first and
         the backtracking resolve._pair_cover second, under the conditions of
-        the module docstring.
+        the module docstring; at the empty board, where the free parts are
+        the masks themselves, the second is the cached resolve._root_cover.
 
         The memo maps the position key of the module docstring to the value
         of an expanded node and is probed before that loop.  That is exact:
         the key fixes the position, and with the cap and the capped side
-        fixed per memo, it fixes each cap's claims left too.  A value is
-        stored only while the memo holds fewer than MEMO_LIMIT entries.
+        fixed per memo, it fixes each cap's claims left too.  The entry
+        position's value is stored too, even when a cutoff settled it, so a
+        repeated query from it (outcome() after maker_wins, move counts after
+        outcome()) is one probe.  A value is stored only while the memo holds
+        fewer than MEMO_LIMIT entries.
         """
         masks = self.masks
         limit = MEMO_LIMIT
@@ -461,8 +471,11 @@ class GameSolver:
                     pending = [part for part in pending if part & pair != pair]
                 else:
                     return True  # Maker wins by the pairing strategy, within that many claims
-                if chose and maker_cap is None and _pair_cover(parts, left) is not None:
-                    return True  # the backtracking search found a cover the greedy missed
+                if chose and maker_cap is None:
+                    # the empty board's cover is computed once per mask set
+                    cover = _pair_cover(parts, left) if maker | breaker else _root_cover(masks)
+                    if cover is not None:
+                        return True  # the backtracking search found a cover the greedy missed
             tally.nodes += 1
             if maker_to_move and min_free == 1:
                 # forced, and exempt from twin pruning: that would drop this
@@ -516,9 +529,13 @@ class GameSolver:
             nonlocal child
             child = node
             try:
-                return node(maker, breaker, maker_to_move, masks, maker, ~breaker)
+                result = node(maker, breaker, maker_to_move, masks, maker, ~breaker)
             finally:
                 child = None
+            # node stores no value a cutoff settled; keep the entry position's anyway
+            if len(memo) < limit:
+                memo[((maker << n) | breaker) << 1 | maker_to_move] = result
+            return result
 
         return search
 

@@ -9,6 +9,12 @@ those sets as bitmasks; the resolving check, the pair-resolver sets and the
 minimal masks all read it, and the dimension is one hitting-set search over
 the minimal masks.
 
+Four caches hold what several layers ask of one (dm, k) or one mask set, so
+it is worked out once: _pair_table and minimal_pair_masks per (dm, k), and
+per mask set _twin_classes and _root_cover, the empty board's pair cover
+that the game solver and search_pair_system share.  Each is an lru_cache of
+at most 256 entries.
+
 Quantifier note: a quasi-pairing system requires one fixed completion vertex
 that works for every transversal (exists-v for-all-Z); the weaker for-all-Z
 exists-v reading is deliberately not implemented.
@@ -107,12 +113,16 @@ def minimal_pair_masks(dm: DistanceMatrix, k: int) -> tuple[int, ...]:
     ordered = sorted(set(_pair_table(dm, k).values()), key=lambda m: (m.bit_count(), m))
     minimal: list[int] = []
     for m in ordered:
-        if not any(kept & ~m == 0 for kept in minimal):
+        for kept in minimal:
+            if not kept & ~m:
+                break  # m holds a kept mask
+        else:
             minimal.append(m)
     return tuple(minimal)
 
 
-def _twin_classes(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=256)
+def _twin_classes(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Twin classes of two or more vertices, each ascending, ordered by lowest vertex.
 
     At every level the 2-masks are exactly the twin pairs: R_k{u,w} always
@@ -356,6 +366,22 @@ def _pair_cover(parts: Sequence[int], left: int, accept=None) -> tuple[int, ...]
         del extend  # it calls itself, a reference cycle that only the cyclic collector would free
 
 
+@lru_cache(maxsize=256)
+def _root_cover(masks: tuple[int, ...]) -> tuple[int, ...] | None:
+    """_pair_cover(masks, MAX_PAIR_SYSTEM): the empty board's cover, shared by the solver and search_pair_system.
+
+    At the empty board the solver's backtracking cover would be
+    _pair_cover(parts, left) with parts equal to masks and left = n; this
+    asks for at most MAX_PAIR_SYSTEM pairs under the same node bound.
+    Disjoint pairs number at most n // 2, so the two searches are the same
+    search, with the same result, whenever n <= 2 * MAX_PAIR_SYSTEM.  On a
+    larger graph (size_cap above 40) a cover of more pairs goes unseen here;
+    the solver then expands the node instead of settling it, which changes
+    no value.
+    """
+    return _pair_cover(masks, MAX_PAIR_SYSTEM)
+
+
 def _pair_system(pairs: Iterable[int]) -> PairSystem:
     return PairSystem.of(((p & -p).bit_length() - 1, p.bit_length() - 1) for p in pairs)
 
@@ -368,7 +394,8 @@ def search_pair_system(dm: DistanceMatrix, k: int) -> tuple[PairSystem, PairSyst
     covers every mask that misses v, because the transversals plus v hit
     those masks only through the transversals.  So one cover search
     (_pair_cover, at most MAX_PAIR_SYSTEM pairs) runs over all masks, where
-    the first cover it finds is a pairing with no check needed, then once
+    the first cover it finds is a pairing with no check needed (that search
+    is the cached _root_cover, shared with the solver's empty board), then once
     per candidate witness v over the masks that miss v, where it returns the
     first cover that check_pair_system confirms.  Targets are built one at a
     time, and a target met before (a v in no mask gives all of them again)
@@ -376,7 +403,7 @@ def search_pair_system(dm: DistanceMatrix, k: int) -> tuple[PairSystem, PairSyst
     """
     masks = minimal_pair_masks(dm, k)
     if masks:
-        pairs = _pair_cover(masks, MAX_PAIR_SYSTEM)
+        pairs = _root_cover(masks)
         if pairs is not None:
             return _pair_system(pairs), PairSystemCheck(PairSystemKind.PAIRING)
     checked = None

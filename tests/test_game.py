@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from mbresolve import game
+from mbresolve import game, resolve
 from mbresolve.errors import CountUndefinedError, InvariantError, SizeCapError, VertexRangeError
 from mbresolve.families import FamilySpec, connected_graph_atlas, gen_family, random_connected_graph
 from mbresolve.game import (
@@ -172,6 +172,40 @@ class TestOutcome:
         solver = GameSolver(g, dm, 1)
         solver.outcome()
         assert solver.stats.tt_hits > 0
+
+    def test_empty_board_cover_is_computed_once_per_mask_set(self, monkeypatch):
+        # C7 at k=1: the greedy cover fails after a choice at the empty board,
+        # so the M-game's entry node runs the backtracking cover; the
+        # certificate's pair search then reads the same cached cover
+        g, dm = family("cycle", n=7)
+        resolve._root_cover.cache_clear()
+        solver = GameSolver(g, dm, 1)
+        first = solver.outcome()
+        assert resolve._root_cover.cache_info()[:2] == (0, 1)  # (hits, misses)
+        assert certificate_fast_path(g, dm, 1).kind is CertificateKind.M_OR_N
+        assert resolve._root_cover.cache_info()[:2] == (1, 1)
+        # both entry values are in the memo: no cover is asked for again
+        covers = []
+        for name in ("_pair_cover", "_root_cover"):
+            real = getattr(game, name)
+            monkeypatch.setattr(game, name, lambda *args, real=real: covers.append(args) or real(*args))
+        assert solver.outcome() == first
+        assert covers == []
+
+    def test_entry_position_settled_by_a_cutoff_is_stored(self, monkeypatch):
+        # Petersen at k=1: both games are settled at the root, with no node
+        # expanded; their entry values are stored all the same, so a second
+        # outcome() is two memo probes and runs no cutoff
+        g, dm = family("petersen")
+        solver = GameSolver(g, dm, 1)
+        first = solver.outcome()
+        stats = solver.stats
+        assert (stats.nodes, stats.tt_entries, stats.tt_hits) == (0, 2, 0)
+        covers = []
+        monkeypatch.setattr(game, "_pair_cover", lambda *args, real=game._pair_cover: covers.append(args) or real(*args))
+        assert solver.outcome() == first
+        assert (stats.nodes, stats.tt_entries, stats.tt_hits) == (0, 2, 2)
+        assert covers == []
 
     def test_dropped_solver_leaves_nothing_to_the_cycle_collector(self):
         # the memos and the orbit cache go with their solver at once, not when the cyclic collector runs

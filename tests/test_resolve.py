@@ -286,6 +286,7 @@ class TestPairSystems:
     def test_search_skips_a_repeated_target(self, monkeypatch):
         # the hub of K1,4 lies in no minimal mask, so its target is the full mask list again
         _, dm = family_dm("star", beta=4)
+        resolve._root_cover.cache_clear()  # else an earlier test's cached cover hides the first target
         targets = []
         cover = resolve._pair_cover
         monkeypatch.setattr(
@@ -293,6 +294,21 @@ class TestPairSystems:
         )
         assert search_pair_system(dm, 1) is None
         assert len(targets) == len(set(targets)) == 5
+
+    def test_cached_cover_leaves_nothing_to_the_cycle_collector(self):
+        # the empty board's cover is cached: it must keep a tuple of ints, not a closure of _pair_cover
+        gc.disable()
+        try:
+            for n in (7, 12):  # C7 has only a quasi-pairing, C12 a pairing
+                g, dm = family_dm("cycle", n=n)
+                resolve._root_cover.cache_clear()
+                gc.collect()
+                certificate_fast_path(g, dm, 1)
+                search_pair_system(dm, 1)
+                assert gc.collect() == 0, n
+            assert resolve._root_cover.cache_info().misses == 1
+        finally:
+            gc.enable()
 
     def test_search_finds_quasi_for_thm_b(self):
         _, dm = family_dm("thm_b", alpha=4)
