@@ -60,6 +60,22 @@ exact reductions are always on; each leaves every node's value unchanged:
   claims it and wins, and Maker to move must claim it, because any other move
   lets Breaker win at once.  A node with a threat never fires the pairing
   cutoff, whose pairs need two free vertices in every part.
+- Forks.  With Breaker to move and no threat, two distinct free parts of
+  two vertices that share a vertex are a fork (Beck, Combinatorial Games:
+  Tic-Tac-Toe Theory, 2008): she claims the shared vertex, which leaves two
+  distinct threats with Maker to move, a double threat; he blocks one and
+  she claims the other, so Breaker has won.  The fork shows in the greedy
+  pairing cover, which reads the parts of two vertices first: it takes
+  each as a pair and drops every part that holds a chosen pair, the equal
+  ones too, so a part of two vertices has no pair left to take exactly
+  when it meets a chosen pair, another part of two vertices.  That finds
+  every fork unless Maker's cap ends the cover first, and never fires on
+  parts that are equal or disjoint.  Under a cap on Breaker she needs two claims,
+  and the claim-horizon cutoff has already returned when she has fewer
+  than min_free = 2 left; under a cap on Maker a Breaker win is a Maker
+  loss.  A double threat is not tested for: the search reaches one only
+  after Breaker's claim at a fork this test missed, since without a fork
+  at most one distinct part of two vertices holds her vertex.
 - Twin pruning.  Swapping two twins is an automorphism of the graph, so it
   maps masks to masks; while both are unclaimed it fixes the position, and
   claiming either one leads to positions of the same value.  Only the lowest
@@ -471,6 +487,8 @@ class GameSolver:
                     pending = [part for part in pending if part & pair != pair]
                 else:
                     return True  # Maker wins by the pairing strategy, within that many claims
+                if not rest and not maker_to_move and pending[0].bit_count() == 2:
+                    return False  # a fork: this part meets a chosen pair, itself a part of two vertices
                 if chose and maker_cap is None:
                     # the empty board's cover is computed once per mask set
                     cover = _pair_cover(parts, left) if maker | breaker else _root_cover(masks)
@@ -597,10 +615,21 @@ class GameSolver:
 
         That is the least number of own claims within which the winner still
         wins; each capped search runs on a fresh memo and counts its nodes in
-        stats.count_nodes.
+        stats.count_nodes.  The caps start at a lower bound that the root's
+        claim-horizon cutoff proves, so no lower cap is searched: Maker needs
+        a claim in each of the masks the greedy packing (smallest first)
+        finds disjoint, and Breaker needs every vertex of some mask.
         """
         maker_is_winner = self.maker_wins(0, 0, maker_first, maker_first)
-        for cap in range(self.n + 1):
+        if maker_is_winner:
+            used = least = 0
+            for mask in sorted(self.masks, key=int.bit_count):
+                if not mask & used:
+                    used |= mask
+                    least += 1
+        else:
+            least = min(map(int.bit_count, self.masks))  # Breaker wins only while some mask is unhit
+        for cap in range(least, self.n + 1):
             tally = SolverStats()
             won = self._searcher({}, tally, cap, cap_maker=maker_is_winner)(0, 0, maker_first)
             self.stats.count_nodes += tally.nodes

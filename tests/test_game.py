@@ -156,7 +156,7 @@ class TestOutcome:
         assert solver.stats.nodes == 0
         # exact counts: a change to any of them is a change to the search, to
         # be measured and recorded, not absorbed by a loose bound
-        for n, symbol, nodes in ((13, OutcomeSymbol.M, 318), (15, OutcomeSymbol.N, 550), (17, OutcomeSymbol.M, 5_722)):
+        for n, symbol, nodes in ((13, OutcomeSymbol.M, 140), (15, OutcomeSymbol.N, 123), (17, OutcomeSymbol.M, 2_010)):
             g, dm = family("cycle", n=n)
             solver = GameSolver(g, dm, 1)
             assert solver.outcome().symbol is symbol
@@ -164,10 +164,10 @@ class TestOutcome:
         g, dm = family("cycle", n=12)
         solver = GameSolver(g, dm, 1)
         solver.move_counts()
-        assert solver.stats.count_nodes == 407
+        assert solver.stats.count_nodes == 195
 
     def test_memo_hits_counted(self):
-        # C13 still searches (318 nodes); the pairing cutoff settles C12 at the root
+        # C13 still searches (140 nodes); the pairing cutoff settles C12 at the root
         g, dm = family("cycle", n=13)
         solver = GameSolver(g, dm, 1)
         solver.outcome()
@@ -261,7 +261,13 @@ class TestOutcome:
             apart[1].maker_wins(0, 0, False, False)
             assert both.stats.nodes == sum(s.stats.nodes for s in apart)
             assert both.stats.tt_hits == sum(s.stats.tt_hits for s in apart)
-            assert both.stats.tt_entries == sum(s.stats.tt_entries for s in apart) == both.stats.nodes
+            # the memo holds each expanded node, and each entry position a cutoff settled: a search that expanded none
+            settled = sum(s.stats.nodes == 0 for s in apart)
+            assert both.stats.tt_entries == sum(s.stats.tt_entries for s in apart) == both.stats.nodes + settled
+            if name == "thm_e":
+                # Breaker's entry position in the B-game holds a fork: no node expanded, its value stored
+                assert [(s.stats.nodes, s.stats.tt_entries) for s in apart] == [(7, 7), (0, 1)]
+                assert (both.stats.nodes, both.stats.tt_entries) == (7, 8)
 
     def test_one_solver_answers_midgame_positions_of_both_games(self):
         rng = random.Random(808)
@@ -345,6 +351,73 @@ class TestCappedSearch:
                         assert got == want, (sorted(g.edges), k, sorted(maker), sorted(breaker), maker_to_move, cap, cap_maker)
                         seen.add((cap_maker, got))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _smallest_parts_shape(parts: list[int], maker_to_move: bool) -> str | None:
+    """How the least free parts of a position meet: a fork or a double threat, which Breaker wins, or a near miss.
+
+    Maker to move: "double threat" (two distinct one-vertex parts) or "one threat twice".
+    Breaker to move with no threat: "fork" (two distinct two-vertex parts that share a
+    vertex), else "equal pairs" (a two-vertex part twice) or "disjoint pairs".
+    """
+    singles = [p for p in parts if p.bit_count() == 1]
+    if maker_to_move:
+        if len(set(singles)) > 1:
+            return "double threat"
+        return "one threat twice" if len(singles) > 1 else None
+    pairs = [p for p in parts if p.bit_count() == 2]
+    if singles or len(pairs) < 2:
+        return None
+    distinct = set(pairs)
+    if any(a & b for a in distinct for b in distinct if a != b):
+        return "fork"
+    return "equal pairs" if len(distinct) < len(pairs) else "disjoint pairs"
+
+
+class TestForkCutoff:
+    def test_midgame_positions_match_naive_oracles(self):
+        # positions whose least free parts hold a fork or a double threat, or nearly do,
+        # uncapped and under caps on either side
+        rng = random.Random(909)
+        seen = set()
+        for _ in range(700):
+            g = random_connected_graph(rng.randint(4, 7), rng.uniform(0.3, 0.8), rng)
+            dm = all_pairs_distances(g)
+            k = rng.randint(1, max(1, dm.diameter))
+            solver = GameSolver(g, dm, k)
+            pool = list(range(g.n))
+            rng.shuffle(pool)
+            claimed = pool[: rng.randint(1, g.n - 2)]
+            split = rng.randint(0, len(claimed))
+            maker, breaker = frozenset(claimed[:split]), frozenset(claimed[split:])
+            maker_bits = sum(1 << v for v in maker)
+            breaker_bits = sum(1 << v for v in breaker)
+            parts = [m & ~breaker_bits for m in solver.masks if not m & maker_bits]
+            if not all(parts):
+                continue  # Breaker has already won
+            for maker_to_move in (True, False):
+                shape = _smallest_parts_shape(parts, maker_to_move)
+                if shape is None:
+                    continue
+                want = naive_maker_wins(dm, k, maker, breaker, maker_to_move)
+                got = solver._searcher({}, SolverStats())(maker_bits, breaker_bits, maker_to_move)
+                assert got == want, (sorted(g.edges), k, sorted(maker), sorted(breaker), maker_to_move)
+                seen.add((shape, "uncapped", want))
+                caps = [(False, len(breaker) + left, f"Breaker, {left} left") for left in (0, 1, 2)]
+                caps += [(True, len(maker) + left, "Maker") for left in (1, 2, 3)]
+                for cap_maker, cap, label in caps:
+                    got = solver._searcher({}, SolverStats(), cap, cap_maker)(maker_bits, breaker_bits, maker_to_move)
+                    want = naive_wins_within(dm, k, maker, breaker, maker_to_move, cap, cap_maker)
+                    assert got == want, (sorted(g.edges), k, sorted(maker), sorted(breaker), maker_to_move, cap, cap_maker)
+                    seen.add((shape, label, want))
+        # Breaker wins a fork or a double threat with 2 claims left, and with 1 left
+        # a fork is beyond her; Maker wins some positions that nearly hold one
+        assert {
+            ("fork", "uncapped", False), ("fork", "Breaker, 2 left", False), ("fork", "Breaker, 1 left", True),
+            ("fork", "Maker", False), ("double threat", "uncapped", False), ("double threat", "Breaker, 1 left", False),
+            ("double threat", "Breaker, 0 left", True), ("double threat", "Maker", False),
+            ("equal pairs", "uncapped", True), ("disjoint pairs", "uncapped", True), ("one threat twice", "uncapped", True),
+        } <= seen
 
 
 class TestPairingCutoff:
