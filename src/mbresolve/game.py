@@ -20,11 +20,6 @@ Each node is a Maker-Breaker hypergraph game in which Breaker builds (she
 wins by claiming every free vertex of an unhit mask) and Maker blocks.  These
 exact reductions are always on; each leaves every node's value unchanged:
 
-- Erdős–Selfridge cutoff.  With P the sum of 2^-|free part| over unhit masks,
-  the blocker wins if P < 1 with Maker to move, or P < 1/2 with Breaker to
-  move (Erdős and Selfridge 1973), so Maker has won.  It says that Maker wins
-  eventually, not within a number of claims, so it is off when Maker's claims
-  are capped; a cap on Breaker only helps Maker, so it stays on there.
 - Claim-horizon cutoffs.  Under a cap on Maker with r claims left, Maker has
   lost once the free parts of unhit masks hold more than r pairwise disjoint
   sets (found by a greedy packing, smallest first): one claim hits at most
@@ -90,18 +85,17 @@ exact reductions are always on; each leaves every node's value unchanged:
   claimed vertex.  The orbits come from graph._vertex_orbits, per claim,
   and are those of a subgroup of that stabilizer, which is all the
   argument needs: a search cut short only gives finer orbits and skips
-  less.  No search is run when no two of the node's moves share a colour
-  (an invariant of the vertex under those automorphisms), since then no two
-  share an orbit.
+  less.  Each claim's orbits are searched once per solver and kept.
 
 Both sides try their moves in decreasing order of danger, the sum of
-2^-|free part| over the unhit masks that hold the vertex; that is the vertex
-the Erdős–Selfridge blocker claims, and the one whose claim raises Breaker's
-potential most.  Ties keep the order in which the vertices first appear in
-the free parts, lowest vertex first within a part; the parts are read in
-mask order (smallest first), or by free-part size under a cap on Maker.
-Ordering changes only which move is tried first, never a node's value.  No
-reduction changes the memo key.  A node a reduction settles is not stored,
+2^-|free part| over the unhit masks that hold the vertex, so a vertex in
+many small free parts comes first: a Breaker claim there brings her nearest
+to filling a mask, and a Maker claim there hits the most of them.  Ties
+keep the order in which the vertices first appear in the free parts, lowest
+vertex first within a part; the parts are read in mask order (smallest
+first), or by free-part size under a cap on Maker.  Ordering changes only
+which move is tried first, never a node's value.  No reduction changes the
+memo key.  A node a reduction settles is not stored,
 except the entry position of a search: its value is stored whatever settled
 it, so asking for it again costs one memo probe.
 """
@@ -111,7 +105,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from operator import mul
 
 from .errors import CountUndefinedError, InvariantError, SizeCapError, VertexRangeError
 from .graph import DistanceMatrix, Graph, _vertex_orbits
@@ -277,66 +270,6 @@ class SolverStats:
     orbit_searches: int = 0
 
 
-class _OrbitCache:
-    """Vertex orbits under the automorphisms that fix the claimed vertex, if any, per claim.
-
-    Called with the bit of the claimed vertex (0: the empty board) and the
-    moves of a node, it returns each vertex's orbit as a bitmask, or None
-    when no two moves share a colour, so that no two share an orbit and no
-    search is run.  A vertex's colour is its distance-row sum and its
-    distance to the claimed vertex; two moves that tie on those are told
-    apart by the sums, over every vertex w, of their distance to w times
-    w's row sum, and times w's distance to the claimed vertex.  Each search
-    counts in stats.orbit_searches, and its orbits are kept: at most 1 + n
-    entries.
-    """
-
-    def __init__(self, graph: Graph, dm: DistanceMatrix, twin_masks: tuple[int, ...], stats: SolverStats):
-        self.graph = graph
-        self.dm = dm
-        self.twin_masks = twin_masks
-        self.stats = stats
-        self.sums: list[int] | None = None  # each vertex's distance row sum, on first use
-        self.orbits: dict[int, tuple[int, ...]] = {}
-
-    def __call__(self, claim: int, moves: int) -> tuple[int, ...] | None:
-        orbits = self.orbits.get(claim)
-        if orbits is None:
-            if not self.colours_shared(claim, moves):
-                return None
-            self.stats.orbit_searches += 1
-            fixed = claim.bit_length() - 1
-            orbits = self.orbits[claim] = _vertex_orbits(self.graph, self.dm, self.twin_masks, fixed)[0]
-        return orbits
-
-    def colours_shared(self, claim: int, moves: int) -> bool:
-        dist = self.dm.dist
-        n = self.graph.n
-        if self.sums is None:
-            self.sums = [sum(row) for row in dist]
-        sums = self.sums
-        far = dist[claim.bit_length() - 1] if claim else [0] * n
-        tied: dict[int, list[int]] = {}
-        shared = False
-        while moves:
-            low = moves & -moves
-            v = low.bit_length() - 1
-            colour = sums[v] * n + far[v]
-            if colour in tied:
-                shared = True
-                tied[colour].append(v)
-            else:
-                tied[colour] = [v]
-            moves ^= low
-        if shared:
-            for same in tied.values():
-                if len(same) > 1:
-                    weighed = {(sum(map(mul, dist[v], sums)), sum(map(mul, dist[v], far))) for v in same}
-                    if len(weighed) < len(same):
-                        return True
-        return False
-
-
 class GameSolver:
     """Solves both games on one (graph, k); reusable across winner/count queries.
 
@@ -356,7 +289,9 @@ class GameSolver:
         self._twin_masks = tuple(sum(1 << v for v in cls) for cls in _twin_classes(self.masks))
         self._memo: dict[int, bool] = {}
         self.stats = SolverStats()
-        self._orbits = _OrbitCache(graph, dm, self._twin_masks, self.stats)
+        # vertex orbits under the automorphisms that fix the claimed vertex,
+        # keyed by its bit (0: the empty board); at most 1 + n entries
+        self._orbits: dict[int, tuple[int, ...]] = {}
         self._search = self._searcher(self._memo, self.stats)
 
     # -- winner search ---------------------------------------------------
@@ -380,12 +315,12 @@ class GameSolver:
         Maker claim passes its vertex as drop and keeps everything; a Breaker
         claim drops nothing and keeps all but her vertex; the entry call
         passes the masks themselves with drop = maker and keep = ~breaker.
-        The potential, the threats, the danger scores, the packing and the
-        pairing cover all read that list, so a node costs time in the unhit
-        masks, not in all of them.  The pairing cover is the greedy first and
-        the backtracking resolve._pair_cover second, under the conditions of
-        the module docstring; at the empty board, where the free parts are
-        the masks themselves, the second is the cached resolve._root_cover.
+        The threats, the danger scores, the packing and the pairing cover
+        all read that list, so a node costs time in the unhit masks, not in
+        all of them.  The pairing cover is the greedy first and the
+        backtracking resolve._pair_cover second, under the conditions of the
+        module docstring; at the empty board, where the free parts are the
+        masks themselves, the second is the cached resolve._root_cover.
 
         The memo maps the position key of the module docstring to the value
         of an expanded node and is probed before that loop.  That is exact:
@@ -400,12 +335,11 @@ class GameSolver:
         limit = MEMO_LIMIT
         twin_masks = self._twin_masks
         n = self.n
-        unit = 1 << n  # potential 1, in units of 2^-n
+        unit = 1 << n  # danger weight 1, in units of 2^-n
         maker_cap = cap if cap_maker else None
         breaker_cap = None if cap_maker else cap
-        es_bound = unit if maker_cap is None else 0  # no potential is below 0
         memo_get = memo.get
-        stabilizer_orbits = self._orbits
+        graph, dm, stats, orbit_memo = self.graph, self.dm, self.stats, self._orbits
         # node recurses through child, which is bound only while a search
         # runs: a function that named itself would form a reference cycle,
         # and the memo it holds would outlive the solver until the cyclic
@@ -426,7 +360,6 @@ class GameSolver:
                 return hit
             parts = []
             live = 0
-            potential = 0
             min_free = n + 1  # more than any mask has
             smallest = 0
             for rest in above:
@@ -438,7 +371,6 @@ class GameSolver:
                 parts.append(rest)
                 live |= rest
                 free = rest.bit_count()
-                potential += unit >> free
                 if free < min_free:
                     min_free = free
                     smallest = rest
@@ -446,14 +378,8 @@ class GameSolver:
                 return True  # every mask hit: maker's set resolves
             if breaker_cap is not None and min_free > breaker_cap - breaker.bit_count():
                 return True  # Breaker cannot fill a mask within her cap
-            if maker_to_move:
-                if potential < es_bound:
-                    return True
-            else:
-                if min_free == 1:
-                    return False  # Breaker claims the threat's vertex
-                if 2 * potential < es_bound:
-                    return True
+            if not maker_to_move and min_free == 1:
+                return False  # Breaker claims the threat's vertex
             ranked = parts
             if maker_cap is not None:
                 left = maker_cap - maker.bit_count()
@@ -536,7 +462,10 @@ class GameSolver:
                     break
                 if lookup:
                     lookup = False
-                    orbits = stabilizer_orbits(claims, moves)
+                    orbits = orbit_memo.get(claims)
+                    if orbits is None:
+                        stats.orbit_searches += 1
+                        orbits = orbit_memo[claims] = _vertex_orbits(graph, dm, twin_masks, claims.bit_length() - 1)[0]
                 if orbits is not None:
                     skip |= orbits[bit.bit_length() - 1]
             if len(memo) < limit:

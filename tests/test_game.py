@@ -143,12 +143,12 @@ class TestOutcome:
         assert move_counts(g, dm, 1).mrk == 0
 
     def test_search_node_bounds(self):
-        # the Erdős–Selfridge cutoff settles Petersen at the root, before any node is expanded
+        # the greedy pairing cover settles both of Petersen's games at the root, before any node is expanded
         g, dm = family("petersen")
         solver = GameSolver(g, dm, 1)
         assert solver.outcome().symbol is OutcomeSymbol.M
         assert solver.stats.nodes == 0
-        # the G(18, 0.3) draw of the ROADMAP baseline: settled before any node is expanded
+        # the G(18, 0.3) draw of the ROADMAP baseline: the cached empty-board cover settles it before any node is expanded
         rng = random.Random(1)
         g = [random_connected_graph(n, 0.3, rng) for n in (12, 14, 16, 18)][3]
         solver = GameSolver(g, all_pairs_distances(g), 1)
@@ -156,7 +156,7 @@ class TestOutcome:
         assert solver.stats.nodes == 0
         # exact counts: a change to any of them is a change to the search, to
         # be measured and recorded, not absorbed by a loose bound
-        for n, symbol, nodes in ((13, OutcomeSymbol.M, 140), (15, OutcomeSymbol.N, 123), (17, OutcomeSymbol.M, 2_010)):
+        for n, symbol, nodes in ((13, OutcomeSymbol.M, 156), (15, OutcomeSymbol.N, 123), (17, OutcomeSymbol.M, 2_164)):
             g, dm = family("cycle", n=n)
             solver = GameSolver(g, dm, 1)
             assert solver.outcome().symbol is symbol
@@ -167,7 +167,7 @@ class TestOutcome:
         assert solver.stats.count_nodes == 195
 
     def test_memo_hits_counted(self):
-        # C13 still searches (140 nodes); the pairing cutoff settles C12 at the root
+        # C13 still searches (156 nodes); the pairing cutoff settles C12 at the root
         g, dm = family("cycle", n=13)
         solver = GameSolver(g, dm, 1)
         solver.outcome()
@@ -175,15 +175,16 @@ class TestOutcome:
 
     def test_empty_board_cover_is_computed_once_per_mask_set(self, monkeypatch):
         # C7 at k=1: the greedy cover fails after a choice at the empty board,
-        # so the M-game's entry node runs the backtracking cover; the
-        # certificate's pair search then reads the same cached cover
+        # so the entry nodes of both games run the backtracking cover, which
+        # the M-game computes and the B-game reads; the certificate's pair
+        # search then reads the same cached cover
         g, dm = family("cycle", n=7)
         resolve._root_cover.cache_clear()
         solver = GameSolver(g, dm, 1)
         first = solver.outcome()
-        assert resolve._root_cover.cache_info()[:2] == (0, 1)  # (hits, misses)
+        assert resolve._root_cover.cache_info()[:2] == (1, 1)  # (hits, misses)
         assert certificate_fast_path(g, dm, 1).kind is CertificateKind.M_OR_N
-        assert resolve._root_cover.cache_info()[:2] == (1, 1)
+        assert resolve._root_cover.cache_info()[:2] == (2, 1)
         # both entry values are in the memo: no cover is asked for again
         covers = []
         for name in ("_pair_cover", "_root_cover"):
@@ -226,6 +227,18 @@ class TestOutcome:
         finally:
             gc.enable()
 
+    def test_orbits_are_searched_once_per_claim(self):
+        # C12's count searches prune by orbits; each claim's orbits are kept
+        # by the solver, so fresh count searches reuse them
+        g, dm = family("cycle", n=12)
+        solver = GameSolver(g, dm, 1)
+        first = solver.move_counts()
+        searched, count_nodes = solver.stats.orbit_searches, solver.stats.count_nodes
+        assert 0 < searched == len(solver._orbits) <= 1 + g.n
+        assert solver.move_counts() == first
+        assert solver.stats.count_nodes == 2 * count_nodes  # the count searches ran again
+        assert solver.stats.orbit_searches == searched
+
     def test_one_claim_positions_match_naive_oracle(self):
         # the positions pruned by orbits: the empty board and one claim, on symmetric graphs
         cube = build_graph(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit])  # C4 x K2
@@ -246,7 +259,8 @@ class TestOutcome:
                 assert solver.winner_move_count(maker_first) == naive_winner_count(dm, 1, maker_first), name
             if solver.stats.orbit_searches:
                 searched.add(name)
-        # every node of K(2,2,2) is settled by its first move or has no two moves of one colour
+        # K(2,2,2)'s masks are its three twin pairs: a cutoff settles each node
+        # but the B-game's after one Breaker claim, whose one move is the threat
         assert searched == {"C7", "C8", "K(3,3)", "C4xK2"}
 
     def test_one_memo_serves_both_games(self):
