@@ -480,6 +480,7 @@ def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
     # dense fallback keeps the helper total for tiny p
     perm = list(range(n))
     rng.shuffle(perm)
-    edges = [(perm[i], perm[i + 1]) for i in range(n - 1)]
-    edges += [e for e in pairs if rng.random() < p]
+    path = [(min(u, v), max(u, v)) for u, v in zip(perm, perm[1:])]
+    # every pair still draws, so the sample is the same; a path edge drawn again is not added twice
+    edges = path + [e for e in pairs if rng.random() < p and e not in path]
     return build_graph(n, edges)

@@ -28,29 +28,24 @@ exact reductions are always on; each leaves every node's value unchanged:
   before her cap ends her play, since Maker's claims never add a free vertex
   and play runs on until she is to move at her cap.
 - Pairing cutoff.  If disjoint pairs of free vertices put one pair inside
-  every free part (the cover rule of resolve.check_pair_system, applied to
-  the free parts), Maker has won whoever is to move: he answers a Breaker
-  claim on a pair with its partner and otherwise claims from a pair he has
-  not touched, so Breaker never fills a part.  Each of his claims touches a
-  new pair, so with p pairs he wins within p claims, and under a cap on
-  Maker with r claims left the cutoff fires only when p <= r; a cap on
-  Breaker only helps Maker.  The cutoff fires only on a cover it has built,
-  so it is exact however it searches.  It first tries a greedy cover,
-  smallest part first, the two lowest unused vertices (in no chosen pair)
-  of each part that holds no chosen pair.  When that fails, Maker's claims
-  are not capped and some greedy pick was a choice (its part had three or
-  more unused vertices), it runs the backtracking search
-  resolve._pair_cover, which finds a cover whenever one exists unless it
-  stops at resolve.PAIR_SEARCH_NODES branching nodes.  At the empty board
-  that search is resolve._root_cover, computed once per mask set and shared
-  with resolve.search_pair_system.  If every pick was
-  forced (its part had exactly two unused vertices), each of those pairs is
-  in every cover, by induction: a cover's pair inside the part is disjoint
-  from the forced pairs before it, so it is the part's one unused pair.
-  The part on which the greedy stopped has fewer than two unused vertices,
-  so no cover has a pair inside it; the failure is a proof and the search
-  is skipped.  Under a cap on Maker the greedy alone decides: there the
-  backtracking search settled few more nodes than it cost.
+  every free part (the cover rule of resolve._classify, applied to the free
+  parts), Maker has won whoever is to move: he answers a Breaker claim on a
+  pair with its partner and otherwise claims from a pair he has not touched,
+  so Breaker never fills a part.  Each of his claims touches a new pair, so
+  with p pairs he wins within p claims.  The cutoff takes covers of at most
+  left pairs: under a cap on Maker, left is his claims left, and otherwise
+  it is resolve.MAX_PAIR_SYSTEM; a cap on Breaker only helps Maker.  The
+  cutoff fires only on a cover it has built, so it is exact however it
+  searches: a cover it does not see only leaves the node to be expanded.
+  It first tries a greedy cover, smallest part first, the two lowest unused
+  vertices (in no chosen pair) of each part that holds no chosen pair.
+  When that fails and Maker's claims are not capped, it runs the
+  backtracking search resolve._pair_cover, which finds a cover whenever one
+  exists unless it stops at resolve.PAIR_SEARCH_NODES branching nodes.  At
+  the empty board that search is resolve._root_cover, computed once per
+  mask set and shared with resolve.search_pair_system.  Under a cap on
+  Maker the greedy alone decides: there the backtracking search settled
+  few more nodes than it cost.
 - Threats.  An unhit mask with one free vertex is a threat: Breaker to move
   claims it and wins, and Maker to move must claim it, because any other move
   lets Breaker win at once.  A node with a threat never fires the pairing
@@ -64,13 +59,13 @@ exact reductions are always on; each leaves every node's value unchanged:
   each as a pair and drops every part that holds a chosen pair, the equal
   ones too, so a part of two vertices has no pair left to take exactly
   when it meets a chosen pair, another part of two vertices.  That finds
-  every fork unless Maker's cap ends the cover first, and never fires on
-  parts that are equal or disjoint.  Under a cap on Breaker she needs two claims,
-  and the claim-horizon cutoff has already returned when she has fewer
-  than min_free = 2 left; under a cap on Maker a Breaker win is a Maker
-  loss.  A double threat is not tested for: the search reaches one only
-  after Breaker's claim at a fork this test missed, since without a fork
-  at most one distinct part of two vertices holds her vertex.
+  every fork unless the bound of left pairs ends the cover first, and never
+  fires on parts that are equal or disjoint.  Under a cap on Breaker she
+  needs two claims, and the claim-horizon cutoff has already returned when
+  she has fewer than min_free = 2 left; under a cap on Maker a Breaker win
+  is a Maker loss.  A double threat is not tested for: the search reaches
+  one only after Breaker's claim at a fork this test missed, since without
+  a fork at most one distinct part of two vertices holds her vertex.
 - Twin pruning.  Swapping two twins is an automorphism of the graph, so it
   maps masks to masks; while both are unclaimed it fixes the position, and
   claiming either one leads to positions of the same value.  Only the lowest
@@ -110,6 +105,7 @@ from .errors import CountUndefinedError, InvariantError, SizeCapError, VertexRan
 from .graph import DistanceMatrix, Graph, _vertex_orbits
 from .resolve import (
     DEFAULT_SIZE_CAP,
+    MAX_PAIR_SYSTEM,
     PairSystem,
     PairSystemKind,
     _least_hitting_set,
@@ -380,7 +376,7 @@ class GameSolver:
                 return True  # Breaker cannot fill a mask within her cap
             if not maker_to_move and min_free == 1:
                 return False  # Breaker claims the threat's vertex
-            ranked = parts
+            ranked, left = parts, MAX_PAIR_SYSTEM
             if maker_cap is not None:
                 left = maker_cap - maker.bit_count()
                 ranked = sorted(parts, key=int.bit_count)
@@ -391,23 +387,17 @@ class GameSolver:
                         packed += 1
                         if packed > left:
                             return False  # Maker cannot hit every mask within his cap
-            else:
-                left = n  # no cap: a cover never reaches n pairs
             if min_free > 1:
                 # pairing cutoff: a greedy cover, smallest part first
                 pending = ranked if maker_cap is not None else sorted(parts, key=int.bit_count)
                 paired = pairs = 0
-                chose = False
                 while pending:
                     rest = pending[0] & ~paired  # the first part that holds no chosen pair
                     low = rest & -rest
                     rest ^= low
                     if not rest or pairs == left:
-                        break  # no pair fits in this part, or the cover outgrows Maker's cap
-                    second = rest & -rest
-                    if rest != second:
-                        chose = True  # three or more unused vertices: this pick was a choice
-                    pair = low | second
+                        break  # no pair fits in this part, or the cover has its left pairs
+                    pair = low | rest & -rest
                     paired |= pair
                     pairs += 1
                     pending = [part for part in pending if part & pair != pair]
@@ -415,7 +405,7 @@ class GameSolver:
                     return True  # Maker wins by the pairing strategy, within that many claims
                 if not rest and not maker_to_move and pending[0].bit_count() == 2:
                     return False  # a fork: this part meets a chosen pair, itself a part of two vertices
-                if chose and maker_cap is None:
+                if maker_cap is None:
                     # the empty board's cover is computed once per mask set
                     cover = _pair_cover(parts, left) if maker | breaker else _root_cover(masks)
                     if cover is not None:

@@ -15,6 +15,10 @@ per mask set _twin_classes and _root_cover, the empty board's pair cover
 that the game solver and search_pair_system share.  Each is an lru_cache of
 at most 256 entries.
 
+Pair systems are classified on bitmasks by one routine, _classify, which
+check_pair_system calls after validating its input and search_pair_system
+calls on the covers it finds.
+
 Quantifier note: a quasi-pairing system requires one fixed completion vertex
 that works for every transversal (exists-v for-all-Z); the weaker for-all-Z
 exists-v reading is deliberately not implemented.
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -146,14 +150,6 @@ def _twin_classes(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def mask_resolves(masks: Sequence[int], set_mask: int) -> bool:
-    """True iff set_mask hits every minimal pair mask."""
-    for m in masks:
-        if not m & set_mask:
-            return False
-    return True
-
-
 class DimResult(NamedTuple):
     value: int
     witness: tuple[int, ...]
@@ -261,17 +257,8 @@ class PairSystemCheck:
     witnesses: tuple[int, ...] = ()
 
 
-def _transversal_masks(pairs: Sequence[tuple[int, int]]):
-    a = len(pairs)
-    for choice in range(1 << a):
-        s = 0
-        for i, (u, w) in enumerate(pairs):
-            s |= 1 << (w if choice >> i & 1 else u)
-        yield s
-
-
-def check_pair_system(dm: DistanceMatrix, k: int, pairs) -> PairSystemCheck:
-    """Classify a pair system by the minimal masks that hold none of its pairs.
+def _classify(masks: Sequence[int], pairs: Sequence[int]) -> PairSystemCheck:
+    """Classify disjoint pairs, as vertex bitmasks, by the minimal masks that hold none of them.
 
     pairing: every transversal resolves.  quasi-pairing: no transversal
     resolves but some single outside vertex completes all of them (all such
@@ -286,25 +273,34 @@ def check_pair_system(dm: DistanceMatrix, k: int, pairs) -> PairSystemCheck:
     iff it lies in every uncovered mask.  No pair vertex does: the
     transversals through it would resolve.
     """
+    uncovered = [m for m in masks if not any(m & p == p for p in pairs)]
+    if not uncovered:
+        return PairSystemCheck(PairSystemKind.PAIRING)
+    # a transversal takes one vertex bit of each pair; the pairs are disjoint, so the bits sum to its mask
+    for transversal in map(sum, product(*((p & -p, p & (p - 1)) for p in pairs))):
+        for m in uncovered:
+            if not m & transversal:
+                break
+        else:
+            return PairSystemCheck(PairSystemKind.NEITHER)  # this transversal hits every uncovered mask
+    common = uncovered[0]
+    for m in uncovered:
+        common &= m
+    witnesses = tuple(v for v in range(common.bit_length()) if common >> v & 1)
+    if witnesses:
+        return PairSystemCheck(PairSystemKind.QUASI_PAIRING, witnesses)
+    return PairSystemCheck(PairSystemKind.NEITHER)
+
+
+def check_pair_system(dm: DistanceMatrix, k: int, pairs) -> PairSystemCheck:
+    """Classify a pair system (see _classify) after validating it."""
     ps = pairs if isinstance(pairs, PairSystem) else PairSystem.of(pairs)
     if len(ps.pairs) > MAX_PAIR_SYSTEM:
         raise TooManyPairsError(f"{len(ps.pairs)} pairs exceed the cap of {MAX_PAIR_SYSTEM}")
     if not ps.pairs:
         raise PairsOverlapError("pair system needs at least one pair")
     _require_in_range(dm.n, ps.vertex_set, "pair vertices")
-    pair_bits = [(1 << u) | (1 << w) for u, w in ps.pairs]
-    uncovered = [m for m in minimal_pair_masks(dm, k) if not any(m & b == b for b in pair_bits)]
-    if not uncovered:
-        return PairSystemCheck(PairSystemKind.PAIRING)
-    if any(mask_resolves(uncovered, t) for t in _transversal_masks(ps.pairs)):
-        return PairSystemCheck(PairSystemKind.NEITHER)
-    common = uncovered[0]
-    for m in uncovered:
-        common &= m
-    witnesses = tuple(v for v in range(dm.n) if common >> v & 1)
-    if witnesses:
-        return PairSystemCheck(PairSystemKind.QUASI_PAIRING, witnesses)
-    return PairSystemCheck(PairSystemKind.NEITHER)
+    return _classify(minimal_pair_masks(dm, k), [(1 << u) | (1 << w) for u, w in ps.pairs])
 
 
 def _pair_cover(parts: Sequence[int], left: int, accept=None) -> tuple[int, ...] | None:
@@ -315,9 +311,10 @@ def _pair_cover(parts: Sequence[int], left: int, accept=None) -> tuple[int, ...]
     with a chosen pair inside it is done, and of the parts left, the one
     with the fewest unused vertices (in no chosen pair) is branched on, over
     the pairs of those vertices in lexicographic order.  A part with exactly
-    two unused vertices forces its pair, which is taken without branching;
-    a part with fewer ends the branch.  At most PAIR_SEARCH_NODES branching
-    nodes are expanded.
+    two unused vertices forces its pair, which is taken without branching
+    as soon as the scan of the parts meets it; a part with fewer ends the
+    branch, in that scan or a later one, since no unused pair fits in it
+    again.  At most PAIR_SEARCH_NODES branching nodes are expanded.
 
     Completeness: a cover that holds the pairs chosen so far has a pair
     inside the branched (or forcing) part, and that pair is in no chosen
@@ -340,13 +337,15 @@ def _pair_cover(parts: Sequence[int], left: int, accept=None) -> tuple[int, ...]
                 count = free.bit_count()
                 if count < 2:
                     return None  # no unused pair fits in this part
+                if count == 2:
+                    break  # forced: the only unused pair in its part
                 if count < most or not most:
                     fewest, most = free, count
-            if most > 2:
-                break
-            used |= fewest  # forced: the only unused pair in its part
-            pairs += (fewest,)
-            pending = [part for part in pending if part & fewest != fewest]
+            else:
+                break  # every part has three or more unused vertices: branch on fewest
+            used |= free
+            pairs += (free,)
+            pending = [part for part in pending if part & free != free]
         else:
             return pairs if accept is None or accept(pairs) else None
         if nodes >= PAIR_SEARCH_NODES:
@@ -368,17 +367,7 @@ def _pair_cover(parts: Sequence[int], left: int, accept=None) -> tuple[int, ...]
 
 @lru_cache(maxsize=256)
 def _root_cover(masks: tuple[int, ...]) -> tuple[int, ...] | None:
-    """_pair_cover(masks, MAX_PAIR_SYSTEM): the empty board's cover, shared by the solver and search_pair_system.
-
-    At the empty board the solver's backtracking cover would be
-    _pair_cover(parts, left) with parts equal to masks and left = n; this
-    asks for at most MAX_PAIR_SYSTEM pairs under the same node bound.
-    Disjoint pairs number at most n // 2, so the two searches are the same
-    search, with the same result, whenever n <= 2 * MAX_PAIR_SYSTEM.  On a
-    larger graph (size_cap above 40) a cover of more pairs goes unseen here;
-    the solver then expands the node instead of settling it, which changes
-    no value.
-    """
+    """_pair_cover(masks, MAX_PAIR_SYSTEM), cached: the empty board's cover, shared by the solver and search_pair_system."""
     return _pair_cover(masks, MAX_PAIR_SYSTEM)
 
 
@@ -389,30 +378,22 @@ def _pair_system(pairs: Iterable[int]) -> PairSystem:
 def search_pair_system(dm: DistanceMatrix, k: int) -> tuple[PairSystem, PairSystemCheck] | None:
     """Search for a pairing (preferred) or quasi-pairing system.
 
-    By the cover rule of check_pair_system, a pairing is a cover: disjoint
-    pairs with one inside every minimal mask.  A quasi-pairing with witness v
-    covers every mask that misses v, because the transversals plus v hit
-    those masks only through the transversals.  So one cover search
-    (_pair_cover, at most MAX_PAIR_SYSTEM pairs) runs over all masks, where
-    the first cover it finds is a pairing with no check needed (that search
-    is the cached _root_cover, shared with the solver's empty board), then once
-    per candidate witness v over the masks that miss v, where it returns the
-    first cover that check_pair_system confirms.  Targets are built one at a
-    time, and a target met before (a v in no mask gives all of them again)
-    is skipped: its search has failed already.
+    By the cover rule of _classify, a pairing is a cover: disjoint pairs with
+    one inside every minimal mask.  A quasi-pairing with witness v covers
+    every mask that misses v, because the transversals plus v hit those
+    masks only through the transversals.  So one cover search (_pair_cover,
+    at most MAX_PAIR_SYSTEM pairs) runs over all masks, where the first cover
+    it finds is a pairing with no classifying needed (that search is the
+    cached _root_cover, shared with the solver's empty board), then once per
+    candidate witness v over the masks that miss v, where it returns the
+    first cover that _classify does not call neither.  Targets are built one
+    at a time, and a target met before (a v in no mask gives all of them
+    again) is skipped: its search has failed already.
     """
     masks = minimal_pair_masks(dm, k)
-    if masks:
-        pairs = _root_cover(masks)
-        if pairs is not None:
-            return _pair_system(pairs), PairSystemCheck(PairSystemKind.PAIRING)
-    checked = None
-
-    def confirmed(pairs: tuple[int, ...]) -> bool:
-        nonlocal checked
-        checked = check_pair_system(dm, k, _pair_system(pairs))
-        return checked.kind is not PairSystemKind.NEITHER
-
+    pairs = _root_cover(masks) if masks else None
+    if pairs is not None:
+        return _pair_system(pairs), PairSystemCheck(PairSystemKind.PAIRING)
     searched = {masks}
     for v in range(dm.n):
         target = tuple(m for m in masks if not m >> v & 1)
@@ -420,9 +401,9 @@ def search_pair_system(dm: DistanceMatrix, k: int) -> tuple[PairSystem, PairSyst
         if not target or target in searched:
             continue
         searched.add(target)
-        pairs = _pair_cover(target, MAX_PAIR_SYSTEM, confirmed)
+        pairs = _pair_cover(target, MAX_PAIR_SYSTEM, lambda cover: _classify(masks, cover).kind is not PairSystemKind.NEITHER)
         if pairs is not None:
-            return _pair_system(pairs), checked
+            return _pair_system(pairs), _classify(masks, pairs)
     return None
 
 

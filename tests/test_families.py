@@ -1,3 +1,4 @@
+import logging
 import random
 import subprocess
 import sys
@@ -280,9 +281,14 @@ class TestEnumeration:
         b = random_connected_graph(7, 0.4, random.Random(99))
         assert a.edges == b.edges
 
-    def test_random_connected_graph_sparse_fallback(self):
+    def test_random_connected_graph_sparse_fallback(self, caplog):
         g = random_connected_graph(9, 0.01, random.Random(5))
         assert g.n == 9  # connectivity guaranteed even at tiny densities
+        # this draw samples a path edge again: it is skipped, not dropped as a duplicate with a warning
+        with caplog.at_level(logging.WARNING):
+            g = random_connected_graph(12, 0.01, random.Random(4))
+        assert caplog.records == []
+        assert g.edge_count == 12
 
 
 class TestPinnedConstructions:

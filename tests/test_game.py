@@ -174,8 +174,8 @@ class TestOutcome:
         assert solver.stats.tt_hits > 0
 
     def test_empty_board_cover_is_computed_once_per_mask_set(self, monkeypatch):
-        # C7 at k=1: the greedy cover fails after a choice at the empty board,
-        # so the entry nodes of both games run the backtracking cover, which
+        # C7 at k=1: the greedy cover fails at the empty board, so the
+        # entry nodes of both games run the backtracking cover, which
         # the M-game computes and the B-game reads; the certificate's pair
         # search then reads the same cached cover
         g, dm = family("cycle", n=7)

@@ -269,6 +269,23 @@ class TestPairSystems:
                     cases += 1
         assert cases == 848
 
+    def test_search_matches_naive_oracle_on_atlas(self):
+        # every system the search returns has the naive oracle's kind and witnesses, and the public check agrees
+        found_kinds = []
+        for g in connected_graph_atlas(max_n=6, min_n=2):
+            dm = all_pairs_distances(g)
+            for k in range(1, dm.stable_level + 1):
+                found = search_pair_system(dm, k)
+                if found is None:
+                    continue
+                system, check = found
+                expected = naive_pair_system_kind(dm, k, system.pairs)
+                assert (check.kind.value, check.witnesses) == expected, (sorted(g.edges), k, system.pairs)
+                assert check_pair_system(dm, k, system) == check
+                found_kinds.append(check.kind)
+        assert found_kinds.count(PairSystemKind.PAIRING) == 167
+        assert found_kinds.count(PairSystemKind.QUASI_PAIRING) == 32
+
     def test_pair_cap(self):
         pairs = [(2 * i, 2 * i + 1) for i in range(resolve.MAX_PAIR_SYSTEM + 1)]
         _, dm = family_dm("path", n=2 * len(pairs))
