@@ -37,35 +37,32 @@ exact reductions are always on; each leaves every node's value unchanged:
   it is resolve.MAX_PAIR_SYSTEM; a cap on Breaker only helps Maker.  The
   cutoff fires only on a cover it has built, so it is exact however it
   searches: a cover it does not see only leaves the node to be expanded.
-  It first tries a greedy cover, smallest part first, the two lowest unused
-  vertices (in no chosen pair) of each part that holds no chosen pair.
-  When that fails and Maker's claims are not capped, it runs the
-  backtracking search resolve._pair_cover, which finds a cover whenever one
-  exists unless it stops at resolve.PAIR_SEARCH_NODES branching nodes.  At
-  the empty board that search is resolve._root_cover, computed once per
-  mask set and shared with resolve.search_pair_system.  Under a cap on
-  Maker the greedy alone decides: there the backtracking search settled
-  few more nodes than it cost.
+  Its one search is resolve._pair_cover, which backtracks over at most a
+  budget of branching nodes and past it takes each branching part's lowest
+  pair.  With Maker's claims not capped the budget is
+  resolve.PAIR_SEARCH_NODES, and the search finds a cover whenever one
+  exists unless it runs past that; at the empty board it is
+  resolve._root_cover, computed once per mask set and shared with
+  resolve.search_pair_system.  Under a cap on Maker the budget is 0, one
+  greedy descent: there backtracking settled few more nodes than it cost.
 - Threats.  An unhit mask with one free vertex is a threat: Breaker to move
   claims it and wins, and Maker to move must claim it, because any other move
   lets Breaker win at once.  A node with a threat never fires the pairing
   cutoff, whose pairs need two free vertices in every part.
 - Forks.  With Breaker to move and no threat, two distinct free parts of
   two vertices that share a vertex are a fork (Beck, Combinatorial Games:
-  Tic-Tac-Toe Theory, 2008): she claims the shared vertex, which leaves two
-  distinct threats with Maker to move, a double threat; he blocks one and
-  she claims the other, so Breaker has won.  The fork shows in the greedy
-  pairing cover, which reads the parts of two vertices first: it takes
-  each as a pair and drops every part that holds a chosen pair, the equal
-  ones too, so a part of two vertices has no pair left to take exactly
-  when it meets a chosen pair, another part of two vertices.  That finds
-  every fork unless the bound of left pairs ends the cover first, and never
-  fires on parts that are equal or disjoint.  Under a cap on Breaker she
-  needs two claims, and the claim-horizon cutoff has already returned when
-  she has fewer than min_free = 2 left; under a cap on Maker a Breaker win
-  is a Maker loss.  A double threat is not tested for: the search reaches
-  one only after Breaker's claim at a fork this test missed, since without
-  a fork at most one distinct part of two vertices holds her vertex.
+  Tic-Tac-Toe Theory, 2008): she claims the shared vertex, which leaves
+  two distinct threats with Maker to move, a double threat; he blocks one
+  and she claims the other, so Breaker has won.  The test reads the
+  distinct parts of two vertices and fires when two of them meet; equal
+  parts are one part, and disjoint ones no fork.  It runs before the
+  pairing cutoff, which a fork leaves no cover: the two parts would need
+  overlapping pairs.  Under a cap on Breaker she needs two claims, and the
+  claim-horizon cutoff has already returned when she has fewer than
+  min_free = 2 left; under a cap on Maker a Breaker win is a Maker loss.
+  A double threat is not tested for: without a fork at most one distinct
+  part of two vertices holds Breaker's vertex, so the search meets one
+  only at an entry position, where Maker's one forced move loses.
 - Twin pruning.  Swapping two twins is an automorphism of the graph, so it
   maps masks to masks; while both are unclaimed it fixes the position, and
   claiming either one leads to positions of the same value.  Only the lowest
@@ -106,6 +103,7 @@ from .graph import DistanceMatrix, Graph, _vertex_orbits
 from .resolve import (
     DEFAULT_SIZE_CAP,
     MAX_PAIR_SYSTEM,
+    PAIR_SEARCH_NODES,
     PairSystem,
     PairSystemKind,
     _least_hitting_set,
@@ -313,10 +311,10 @@ class GameSolver:
         passes the masks themselves with drop = maker and keep = ~breaker.
         The threats, the danger scores, the packing and the pairing cover
         all read that list, so a node costs time in the unhit masks, not in
-        all of them.  The pairing cover is the greedy first and the
-        backtracking resolve._pair_cover second, under the conditions of the
-        module docstring; at the empty board, where the free parts are the
-        masks themselves, the second is the cached resolve._root_cover.
+        all of them.  The pairing cover is resolve._pair_cover with the
+        budget of the module docstring; at the empty board, where the free
+        parts are the masks themselves, the uncapped search is the cached
+        resolve._root_cover.
 
         The memo maps the position key of the module docstring to the value
         of an expanded node and is probed before that loop.  That is exact:
@@ -334,8 +332,9 @@ class GameSolver:
         unit = 1 << n  # danger weight 1, in units of 2^-n
         maker_cap = cap if cap_maker else None
         breaker_cap = None if cap_maker else cap
+        budget = PAIR_SEARCH_NODES if maker_cap is None else 0  # the pair cover's backtracking budget
         memo_get = memo.get
-        graph, dm, stats, orbit_memo = self.graph, self.dm, self.stats, self._orbits
+        dm, stats, orbit_memo = self.dm, self.stats, self._orbits
         # node recurses through child, which is bound only while a search
         # runs: a function that named itself would form a reference cycle,
         # and the memo it holds would outlive the solver until the cyclic
@@ -388,28 +387,19 @@ class GameSolver:
                         if packed > left:
                             return False  # Maker cannot hit every mask within his cap
             if min_free > 1:
-                # pairing cutoff: a greedy cover, smallest part first
-                pending = ranked if maker_cap is not None else sorted(parts, key=int.bit_count)
-                paired = pairs = 0
-                while pending:
-                    rest = pending[0] & ~paired  # the first part that holds no chosen pair
-                    low = rest & -rest
-                    rest ^= low
-                    if not rest or pairs == left:
-                        break  # no pair fits in this part, or the cover has its left pairs
-                    pair = low | rest & -rest
-                    paired |= pair
-                    pairs += 1
-                    pending = [part for part in pending if part & pair != pair]
+                if not maker_to_move and min_free == 2:
+                    met = 0
+                    for rest in {rest for rest in parts if rest.bit_count() == 2}:
+                        if rest & met:
+                            return False  # a fork: two distinct parts of two vertices share a vertex
+                        met |= rest
+                # pairing cutoff; the empty board's uncapped cover is computed once per mask set
+                if maker_cap is None and not maker | breaker:
+                    cover = _root_cover(masks)
                 else:
+                    cover = _pair_cover(parts, left, budget=budget)
+                if cover is not None:
                     return True  # Maker wins by the pairing strategy, within that many claims
-                if not rest and not maker_to_move and pending[0].bit_count() == 2:
-                    return False  # a fork: this part meets a chosen pair, itself a part of two vertices
-                if maker_cap is None:
-                    # the empty board's cover is computed once per mask set
-                    cover = _pair_cover(parts, left) if maker | breaker else _root_cover(masks)
-                    if cover is not None:
-                        return True  # the backtracking search found a cover the greedy missed
             tally.nodes += 1
             if maker_to_move and min_free == 1:
                 # forced, and exempt from twin pruning: that would drop this
@@ -455,7 +445,7 @@ class GameSolver:
                     orbits = orbit_memo.get(claims)
                     if orbits is None:
                         stats.orbit_searches += 1
-                        orbits = orbit_memo[claims] = _vertex_orbits(graph, dm, twin_masks, claims.bit_length() - 1)[0]
+                        orbits = orbit_memo[claims] = _vertex_orbits(dm, twin_masks, claims.bit_length() - 1)
                 if orbits is not None:
                     skip |= orbits[bit.bit_length() - 1]
             if len(memo) < limit:

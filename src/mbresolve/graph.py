@@ -184,8 +184,8 @@ def twin_partition(g: Graph) -> TwinPartition:
 _ORBIT_SEARCH_NODES = 2_000
 
 
-def _vertex_orbits(g: Graph, dm: DistanceMatrix, twin_masks, fixed: int = -1) -> tuple[tuple[int, ...], bool]:
-    """Orbits of a subgroup of Aut(g) that fixes the vertex fixed (-1: none), and whether it is all of it.
+def _vertex_orbits(dm: DistanceMatrix, twin_masks, fixed: int = -1) -> tuple[int, ...]:
+    """Orbits of a subgroup of Aut(g) that fixes the vertex fixed (-1: none), for the graph g of dm.
 
     Returns one bitmask per vertex, the orbit that holds it.  twin_masks are
     g's twin classes as bitmasks; swapping two twins is an automorphism, so
@@ -205,9 +205,9 @@ def _vertex_orbits(g: Graph, dm: DistanceMatrix, twin_masks, fixed: int = -1) ->
     vertex.  A permutation that keeps every distance keeps every edge, so
     each map found is an automorphism's, and its cycles are joined.  All
     the searches share _ORBIT_SEARCH_NODES extension steps; past the bound
-    the orbits found by then are finer, still exact, and the flag is False.
+    the orbits found by then are finer, and still exact.
     """
-    n = g.n
+    n = dm.n
     dist = dm.dist
     parent = list(range(n))  # union-find of the orbits joined so far
 
@@ -263,7 +263,7 @@ def _vertex_orbits(g: Graph, dm: DistanceMatrix, twin_masks, fixed: int = -1) ->
     orbits: dict[int, int] = {}
     for v in range(n):
         orbits[find(v)] = orbits.get(find(v), 0) | 1 << v
-    return tuple(orbits[find(v)] for v in range(n)), steps[0] >= 0
+    return tuple(orbits[find(v)] for v in range(n))
 
 
 def _extend(dist, at, image: list[int], steps: list[int], u: int, w: int, open_images: dict[int, int]) -> bool:

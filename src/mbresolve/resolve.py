@@ -303,7 +303,7 @@ def check_pair_system(dm: DistanceMatrix, k: int, pairs) -> PairSystemCheck:
     return _classify(minimal_pair_masks(dm, k), [(1 << u) | (1 << w) for u, w in ps.pairs])
 
 
-def _pair_cover(parts: Sequence[int], left: int, accept=None) -> tuple[int, ...] | None:
+def _pair_cover(parts: Sequence[int], left: int, accept=None, budget: int = PAIR_SEARCH_NODES) -> tuple[int, ...] | None:
     """The first disjoint pair system with a pair inside every part, of at most left pairs, that accept takes.
 
     Parts and pairs are vertex bitmasks; accept (any cover, if None) gets
@@ -314,55 +314,60 @@ def _pair_cover(parts: Sequence[int], left: int, accept=None) -> tuple[int, ...]
     two unused vertices forces its pair, which is taken without branching
     as soon as the scan of the parts meets it; a part with fewer ends the
     branch, in that scan or a later one, since no unused pair fits in it
-    again.  At most PAIR_SEARCH_NODES branching nodes are expanded.
+    again.  The search backtracks over at most budget branching nodes; past
+    that, each branching node takes its lowest pair only and never
+    backtracks, so budget 0 is one greedy descent.
 
     Completeness: a cover that holds the pairs chosen so far has a pair
     inside the branched (or forcing) part, and that pair is in no chosen
     pair, so it is one of the branches (or the forced pair).  Following any
     cover C of at most left pairs thus reaches a cover made of pairs of C.
-    So unless it stops at the node bound, the search returns a cover exactly
+    So unless it runs past its budget, the search returns a cover exactly
     when one of at most left pairs exists, and accept is offered a sub-cover
-    of every such cover until it takes one.
+    of every such cover until it takes one.  Past the budget it can miss a
+    cover, never make one up: whatever it returns is still a cover of at
+    most left pairs that accept took, so a caller that acts only on a cover
+    it was given stays exact.  The game solver's pairing cutoff is such a
+    caller: a cover missed there only leaves its node to be expanded.
     """
-    nodes = 0
+    return _extend_cover(parts, 0, (), left, accept, [budget])
 
-    def extend(pending: list[int], used: int, pairs: tuple[int, ...]) -> tuple[int, ...] | None:
-        nonlocal nodes
-        while pending:
-            if len(pairs) == left:
-                return None
-            fewest = most = 0
-            for part in pending:
-                free = part & ~used
-                count = free.bit_count()
-                if count < 2:
-                    return None  # no unused pair fits in this part
-                if count == 2:
-                    break  # forced: the only unused pair in its part
-                if count < most or not most:
-                    fewest, most = free, count
-            else:
-                break  # every part has three or more unused vertices: branch on fewest
-            used |= free
-            pairs += (free,)
-            pending = [part for part in pending if part & free != free]
-        else:
-            return pairs if accept is None or accept(pairs) else None
-        if nodes >= PAIR_SEARCH_NODES:
+
+def _extend_cover(pending: Sequence[int], used: int, pairs: tuple[int, ...], left: int, accept,
+                  budget: list[int]) -> tuple[int, ...] | None:
+    """_pair_cover's search below the pairs chosen so far; budget[0] holds the branching nodes left."""
+    while pending:
+        if len(pairs) == left:
             return None
-        nodes += 1
-        bits = [1 << v for v in range(fewest.bit_length()) if fewest >> v & 1]
-        for a, b in combinations(bits, 2):
-            pair = a | b
-            found = extend([part for part in pending if part & pair != pair], used | pair, pairs + (pair,))
-            if found is not None:
-                return found
-        return None
-
-    try:
-        return extend(list(parts), 0, ())
-    finally:
-        del extend  # it calls itself, a reference cycle that only the cyclic collector would free
+        fewest = most = 0
+        for part in pending:
+            free = part & ~used
+            count = free.bit_count()
+            if count < 2:
+                return None  # no unused pair fits in this part
+            if count == 2:
+                break  # forced: the only unused pair in its part
+            if count < most or not most:
+                fewest, most = free, count
+        else:
+            if budget[0] > 0:
+                break  # every part has three or more unused vertices: branch on fewest
+            rest = fewest & (fewest - 1)  # past the budget: take fewest's lowest pair, as if forced
+            free = fewest ^ rest | rest & -rest
+        used |= free
+        pairs += (free,)
+        pending = [part for part in pending if part & free != free]
+    else:
+        return pairs if accept is None or accept(pairs) else None
+    budget[0] -= 1
+    bits = [1 << v for v in range(fewest.bit_length()) if fewest >> v & 1]
+    for a, b in combinations(bits, 2):
+        pair = a | b
+        found = _extend_cover([part for part in pending if part & pair != pair], used | pair, pairs + (pair,), left,
+                              accept, budget)
+        if found is not None:
+            return found
+    return None
 
 
 @lru_cache(maxsize=256)

@@ -13,6 +13,7 @@ from mbresolve.game import (
     GamePosition,
     GameSolver,
     JumpReport,
+    MoveCounts,
     OutcomeSymbol,
     Player,
     SolverStats,
@@ -143,7 +144,7 @@ class TestOutcome:
         assert move_counts(g, dm, 1).mrk == 0
 
     def test_search_node_bounds(self):
-        # the greedy pairing cover settles both of Petersen's games at the root, before any node is expanded
+        # the empty board's pairing cover settles both of Petersen's games at the root, before any node is expanded
         g, dm = family("petersen")
         solver = GameSolver(g, dm, 1)
         assert solver.outcome().symbol is OutcomeSymbol.M
@@ -161,10 +162,17 @@ class TestOutcome:
             solver = GameSolver(g, dm, 1)
             assert solver.outcome().symbol is symbol
             assert solver.stats.nodes == nodes, n
-        g, dm = family("cycle", n=12)
-        solver = GameSolver(g, dm, 1)
-        solver.move_counts()
-        assert solver.stats.count_nodes == 195
+        # the count searches of the benchmark's slowest counts items, C12, thm_f(alpha=4) and thm_d
+        for name, kw, nodes in (("cycle", {"n": 12}, 192), ("thm_f", {"alpha": 4}, 154), ("thm_d", {}, 55)):
+            g, dm = family(name, **kw)
+            solver = GameSolver(g, dm, 1)
+            solver.move_counts()
+            assert solver.stats.count_nodes == nodes, name
+        # the ROADMAP sweep's draw (0.5, 0) at n = 18, where count search is the cost
+        g = random_connected_graph(18, 0.5, random.Random(12345))
+        solver = GameSolver(g, all_pairs_distances(g), 1)
+        assert solver.move_counts() == MoveCounts(mrk=5, mprime_rk=5)
+        assert solver.stats.count_nodes == 31_301
 
     def test_memo_hits_counted(self):
         # C13 still searches (156 nodes); the pairing cutoff settles C12 at the root
@@ -174,10 +182,10 @@ class TestOutcome:
         assert solver.stats.tt_hits > 0
 
     def test_empty_board_cover_is_computed_once_per_mask_set(self, monkeypatch):
-        # C7 at k=1: the greedy cover fails at the empty board, so the
-        # entry nodes of both games run the backtracking cover, which
-        # the M-game computes and the B-game reads; the certificate's pair
-        # search then reads the same cached cover
+        # C7 at k=1: the entry nodes of both games ask for the empty
+        # board's pair cover, which the M-game computes and the B-game
+        # reads; the certificate's pair search then reads the same cached
+        # cover
         g, dm = family("cycle", n=7)
         resolve._root_cover.cache_clear()
         solver = GameSolver(g, dm, 1)

@@ -341,7 +341,7 @@ class TestPairSystems:
 class TestPairCover:
     def test_matches_naive_least_cover(self):
         rng = random.Random(14)
-        found = refused = 0
+        found = refused = missed = 0
         for _ in range(1500):
             n = rng.randint(2, 8)
             sizes = [rng.randint(2, min(n, 5)) for _ in range(rng.randint(1, 6))]
@@ -349,18 +349,23 @@ class TestPairCover:
             left = rng.randint(0, 4)
             least = naive_least_cover(parts)
             pairs = resolve._pair_cover(parts, left)
+            # no backtracking: a greedy descent may miss a cover, but what it returns is one
+            greedy = resolve._pair_cover(parts, left, budget=0)
             if least is None or least > left:
-                assert pairs is None, (parts, left)
+                assert pairs is None and greedy is None, (parts, left)
                 refused += 1
                 continue
-            assert pairs is not None and len(pairs) <= left, (parts, left)
-            assert all(p.bit_count() == 2 for p in pairs) and sum(pairs).bit_count() == 2 * len(pairs), (parts, pairs)
-            assert all(any(part & p == p for p in pairs) for part in parts), (parts, pairs)
+            assert pairs is not None, (parts, left)
+            for cover in [c for c in (pairs, greedy) if c is not None]:
+                assert len(cover) <= left, (parts, left, cover)
+                assert all(p.bit_count() == 2 for p in cover) and sum(cover).bit_count() == 2 * len(cover), (parts, cover)
+                assert all(any(part & p == p for p in cover) for part in parts), (parts, cover)
             found += 1
-        assert found > 300 and refused > 300
+            missed += greedy is None
+        assert found > 300 and refused > 300 and missed > 0
 
     def test_finds_a_cover_the_greedy_misses(self):
-        # smallest part first, two lowest unused vertices: the greedy pairs {0,1}
+        # smallest part first, two lowest unused vertices: such a greedy pairs {0,1}
         # in {0,1,2}, then {2,3} in {2,3,4}, and {0,2,5} keeps one unused vertex.
         # Branching on the part with the fewest unused vertices, {0,1} forces
         # {2,5} and then {3,4}; with two pairs left it takes {0,2} and {3,4}.
@@ -368,6 +373,10 @@ class TestPairCover:
         assert resolve._pair_cover(parts, 3) == (0b11, 0b100100, 0b11000)
         assert resolve._pair_cover(parts, 2) == (0b101, 0b11000)
         assert resolve._pair_cover(parts, 1) is None
+        # budget 0, no backtracking: {0,1}, then the forced {2,5} and {3,4}; with
+        # two pairs left it misses the cover {0,2}, {3,4} that backtracking finds
+        assert resolve._pair_cover(parts, 3, budget=0) == (0b11, 0b100100, 0b11000)
+        assert resolve._pair_cover(parts, 2, budget=0) is None
 
     def test_accept_refuses_covers(self):
         # accept sees every cover the search meets until it takes one
