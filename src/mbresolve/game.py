@@ -587,7 +587,18 @@ def jump_report(graph: Graph, dm: DistanceMatrix) -> JumpReport:
 
 
 def certificate_fast_path(graph: Graph, dm: DistanceMatrix, k: int) -> Certificate | None:
-    """Cheap structural outcome bounds; used to cross-check the solver."""
+    """Cheap structural outcome bounds; used to cross-check the solver.
+
+    Tested in order: a twin class of four or more, or two of three or more
+    (forced B); a pairing (M) or quasi-pairing (M or N) from
+    search_pair_system; and only when no pair system exists, whether some
+    ceil(n/2) vertices resolve (forced B if none do).  Asking for the pair
+    system first skips no forced-B answer: a pairing of p disjoint pairs has
+    resolving transversals of p <= n/2 vertices, and a quasi-pairing's
+    transversals plus its witness, outside the 2p pair vertices, resolve
+    with p + 1 <= (n+1)/2 vertices, so either system already gives
+    dimension at most ceil(n/2).
+    """
     masks = minimal_pair_masks(dm, k)
     twin_classes = _twin_classes(masks)
     big = [cls for cls in twin_classes if len(cls) >= 4]
@@ -601,12 +612,6 @@ def certificate_fast_path(graph: Graph, dm: DistanceMatrix, k: int) -> Certifica
         return Certificate(
             kind=CertificateKind.FORCED_B,
             reason=f"two twin classes of size >= 3: {list(threes[0])}, {list(threes[1])}",
-        )
-    half = math.ceil(graph.n / 2)
-    if _least_hitting_set(masks, half) is None:
-        return Certificate(
-            kind=CertificateKind.FORCED_B,
-            reason=f"dimension exceeds half the order ({graph.n}): no resolving set of {half} vertices",
         )
     found = search_pair_system(dm, k)
     if found is not None:
@@ -622,5 +627,11 @@ def certificate_fast_path(graph: Graph, dm: DistanceMatrix, k: int) -> Certifica
             reason=f"quasi-pairing system of {len(system.pairs)} pairs",
             pair_system=system,
             witnesses=check.witnesses,
+        )
+    half = math.ceil(graph.n / 2)
+    if _least_hitting_set(masks, half) is None:
+        return Certificate(
+            kind=CertificateKind.FORCED_B,
+            reason=f"dimension exceeds half the order ({graph.n}): no resolving set of {half} vertices",
         )
     return None

@@ -9,6 +9,16 @@ those sets as bitmasks; the resolving check, the pair-resolver sets and the
 minimal masks all read it, and the dimension is one hitting-set search over
 the minimal masks.
 
+The table is built from distance spheres, not from truncated rows: R_k{x,y}
+is the union of the radius-k balls of x and y less the vertices at one
+equal distance 1..k from both, since a vertex outside both balls sees both
+distances truncated to k + 1.  Each vertex's spheres of radius 1..k are
+packed into one int of n-bit blocks.  They are disjoint and miss the
+centre, so their block sum is their union and stays below 2^n - 1, and
+reducing modulo 2^n - 1 (which adds the blocks) folds them exactly: into
+the ball less its centre, or, after ANDing two vertices' packed spheres,
+into the equal-distance set.  One pair is then one big-int expression.
+
 Four caches hold what several layers ask of one (dm, k) or one mask set, so
 it is worked out once: _pair_table and minimal_pair_masks per (dm, k), and
 per mask set _twin_classes and _root_cover, the empty board's pair cover
@@ -58,22 +68,38 @@ def _require_in_range(n: int, vertices: Iterable[int], what: str) -> None:
 
 @lru_cache(maxsize=256)
 def _pair_table(dm: DistanceMatrix, k: int) -> Mapping[tuple[int, int], int]:
-    """R_k{x,y} as a bitmask for every pair x < y, in lexicographic pair order (read-only)."""
+    """R_k{x,y} as a bitmask for every pair x < y, in lexicographic pair order (read-only).
+
+    Truncation leaves z's two distances equal when both exceed k, and z then
+    lies outside both radius-k balls.  So R_k{x,y} is B_k(x) | B_k(y) minus
+    the z with d(x,z) = d(y,z) <= k.  The spheres of radius 1..k around x
+    are packed into one int, sphere d as the n-bit block d - 1.  Since
+    2^n = 1 modulo full = 2^n - 1, an int modulo full is the sum of its
+    blocks modulo full.  The spheres of one vertex are disjoint and miss
+    it, so their sum is their union and stays below full: the fold is
+    exact, and gives the ball less its centre.  The packed spheres of x and
+    y ANDed hold in block d - 1 the z with d(x,z) = d(y,z) = d; these blocks
+    are parts of x's spheres, so they fold exactly too, into the z at one
+    equal distance 1..k from both.
+    """
     if k < 1:
         raise ValueError(f"truncation parameter k must be >= 1, got {k}")
     n = dm.n
-    cap = k + 1
-    trunc = [tuple(d if d <= k else cap for d in row) for row in dm.dist]
+    full = (1 << n) - 1
+    spheres = []
+    balls = []
+    for x, row in enumerate(dm.dist):
+        packed = 0
+        for z, d in enumerate(row):
+            if 0 < d <= k:
+                packed |= 1 << (d - 1) * n + z
+        spheres.append(packed)
+        balls.append(packed % full | 1 << x)
     table = {}
     for x in range(n):
-        tx = trunc[x]
+        ball, packed = balls[x], spheres[x]
         for y in range(x + 1, n):
-            ty = trunc[y]
-            m = 0
-            for z in range(n):
-                if tx[z] != ty[z]:
-                    m |= 1 << z
-            table[x, y] = m
+            table[x, y] = (ball | balls[y]) & ~((packed & spheres[y]) % full)
     return MappingProxyType(table)
 
 
@@ -114,7 +140,7 @@ def minimal_pair_masks(dm: DistanceMatrix, k: int) -> tuple[int, ...]:
     masks; the masks are also exactly the minimal vertex sets whose removal
     (capture by a blocker) makes resolution impossible.
     """
-    ordered = sorted(set(_pair_table(dm, k).values()), key=lambda m: (m.bit_count(), m))
+    ordered = sorted(sorted(set(_pair_table(dm, k).values())), key=int.bit_count)  # stable: by (size, value)
     minimal: list[int] = []
     for m in ordered:
         for kept in minimal:
@@ -340,12 +366,13 @@ def _extend_cover(pending: Sequence[int], used: int, pairs: tuple[int, ...], lef
         if len(pairs) == left:
             return None
         fewest = most = 0
+        unused = ~used
         for part in pending:
-            free = part & ~used
+            free = part & unused
             count = free.bit_count()
-            if count < 2:
-                return None  # no unused pair fits in this part
-            if count == 2:
+            if count < 3:
+                if count < 2:
+                    return None  # no unused pair fits in this part
                 break  # forced: the only unused pair in its part
             if count < most or not most:
                 fewest, most = free, count

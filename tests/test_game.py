@@ -635,6 +635,17 @@ class TestCertificates:
         assert cert is not None and cert.kind is CertificateKind.M_OR_N and 0 in cert.witnesses
         assert outcome(g, dm, 1).symbol is OutcomeSymbol.N
 
+    def test_pair_system_skips_the_half_order_query(self, monkeypatch):
+        # a pair system already bounds the dimension by ceil(n/2), so no hitting-set search runs
+        def refused(masks, budget):
+            raise AssertionError("half-order query run despite a pair system")
+
+        monkeypatch.setattr(game, "_least_hitting_set", refused)
+        for name, kw, kind in [("cycle", {"n": 6}, CertificateKind.M_CERTIFIED),
+                               ("thm_b", {"alpha": 4}, CertificateKind.M_OR_N)]:
+            g, dm = family(name, **kw)
+            assert certificate_fast_path(g, dm, 1).kind is kind, name
+
     def test_never_contradicts_solver_on_atlas(self):
         for g in connected_graph_atlas(max_n=5, min_n=2):
             dm = all_pairs_distances(g)

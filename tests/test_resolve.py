@@ -1,5 +1,7 @@
 import gc
+import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +17,7 @@ from mbresolve.errors import (
 )
 from mbresolve.families import FamilySpec, connected_graph_atlas, gen_family
 from mbresolve.game import certificate_fast_path
-from mbresolve.graph import all_pairs_distances, build_graph, twin_partition
+from mbresolve.graph import all_pairs_distances, build_graph, truncated_distance, twin_partition
 from mbresolve.resolve import (
     GapProfile,
     PairSystemKind,
@@ -28,7 +30,7 @@ from mbresolve.resolve import (
     search_pair_system,
 )
 
-from oracles import brute_force_dim, direct_code, direct_is_resolving, naive_least_cover, naive_pair_system_kind
+from oracles import brute_force_dim, direct_is_resolving, naive_least_cover, naive_pair_system_kind
 
 
 def family_dm(family, **kw):
@@ -100,14 +102,21 @@ class TestPairResolverSet:
             pair_resolver_set(dm, 1, *pair)
 
     def test_matches_single_landmark_codes(self):
-        g, dm = family_dm("cycle", n=6)
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                expected = {
-                    z for z in range(g.n)
-                    if direct_code(dm, 1, (z,), x) != direct_code(dm, 1, (z,), y)
-                }
-                assert pair_resolver_set(dm, 1, x, y) == expected
+        # every k up to one past the diameter: the k >= 2 sphere blocks, and k past the stable level
+        levels = 0
+        for g in connected_graph_atlas(max_n=6):
+            dm = all_pairs_distances(g)
+            for k in range(1, dm.diameter + 2):
+                table = resolve._pair_table(dm, k)
+                assert list(table) == list(combinations(range(g.n), 2))
+                for x, y in table:
+                    expected = {
+                        z for z in range(g.n)
+                        if truncated_distance(dm, k, x, z) != truncated_distance(dm, k, y, z)
+                    }
+                    assert pair_resolver_set(dm, k, x, y) == expected, (sorted(g.edges), k, x, y)
+                levels += 1
+        assert levels == 492
 
     def test_resolving_iff_hits_every_pair_set(self):
         g, dm = family_dm("thm_a", alpha=3)
@@ -146,7 +155,9 @@ class TestMinimalMasks:
             dm = all_pairs_distances(g)
             want = tuple(cls for cls in twin_partition(g).classes if len(cls) > 1)
             for k in range(1, dm.stable_level + 1):
-                assert resolve._twin_classes(minimal_pair_masks(dm, k)) == want, (sorted(g.edges), k)
+                masks = minimal_pair_masks(dm, k)
+                assert list(masks) == sorted(masks, key=lambda m: (m.bit_count(), m))
+                assert resolve._twin_classes(masks) == want, (sorted(g.edges), k)
                 levels += 1
         assert levels == 1648
 
@@ -285,6 +296,20 @@ class TestPairSystems:
                 found_kinds.append(check.kind)
         assert found_kinds.count(PairSystemKind.PAIRING) == 167
         assert found_kinds.count(PairSystemKind.QUASI_PAIRING) == 32
+
+    def test_pair_system_bounds_dimension_by_half_the_order(self):
+        # p disjoint pairs: a pairing's transversals resolve with p <= n/2 vertices, a
+        # quasi-pairing's plus the witness with p + 1 <= (n+1)/2; certificate_fast_path relies on it
+        found = tight = 0
+        for g in connected_graph_atlas(max_n=7):
+            dm = all_pairs_distances(g)
+            for k in range(1, dm.stable_level + 1):
+                if search_pair_system(dm, k) is not None:
+                    value = metric_dimension_k(dm, k).value
+                    assert value <= math.ceil(g.n / 2), (sorted(g.edges), k)
+                    found += 1
+                    tight += value == math.ceil(g.n / 2)
+        assert (found, tight) == (1591, 165)
 
     def test_pair_cap(self):
         pairs = [(2 * i, 2 * i + 1) for i in range(resolve.MAX_PAIR_SYSTEM + 1)]
