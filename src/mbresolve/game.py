@@ -12,9 +12,16 @@ holds the whole position, so one memo serves both games: an M-game and a
 B-game position never share claim counts and side to move.  Move generation
 restricts to vertices of still-unhit masks (claiming anything else helps
 neither side).  Move counts reuse the same search with a cap on the winner's
-claims: the winner's optimal count is the least cap c = 0, 1, 2, ... under
-which the winner still wins (iterative deepening), each capped run with a
-fresh memo.
+claims: the winner's optimal count is the least cap under which the winner
+still wins, found by searching caps in increasing order, each capped run with
+a fresh memo.  Three exact root bounds leave only some caps to search
+(GameSolver.winner_move_count states each argument): a floor, since Maker
+needs a resolving set and so at least dim_k(G) claims; a ceiling, since an
+empty-board pair cover of p pairs lets Maker win within p claims whoever
+moves first, so once every cap below p has lost the answer is p, unsearched;
+and between the two games, mrk <= m'rk and b'rk <= brk, since the side that
+moves first can imagine an opponent claim and play its second-player
+strategy, so one game's count is a floor for the other's.
 
 Each node is a Maker-Breaker hypergraph game in which Breaker builds (she
 wins by claiming every free vertex of an unhit mask) and Maker blocks.  These
@@ -252,14 +259,15 @@ class SolverStats:
     nodes and tt_hits count the expanded nodes and the memo hits of the
     uncapped searches behind maker_wins, and tt_entries the entries of their
     one memo: the expanded nodes, and each entry position a cutoff settled
-    (see _searcher).  count_nodes counts the expanded nodes of the capped
-    searches behind move counts, and orbit_searches the vertex-orbit
-    searches of all of them.
+    (see _searcher).  count_searches counts the capped searches behind move
+    counts (one per cap searched) and count_nodes their expanded nodes, and
+    orbit_searches the vertex-orbit searches of all of them.
     """
 
     nodes: int = 0
     tt_entries: int = 0
     tt_hits: int = 0
+    count_searches: int = 0
     count_nodes: int = 0
     orbit_searches: int = 0
 
@@ -523,40 +531,83 @@ class GameSolver:
         """Winner's optimal move count for one game (winner fastest, loser stalling).
 
         That is the least number of own claims within which the winner still
-        wins; each capped search runs on a fresh memo and counts its nodes in
-        stats.count_nodes.  The caps start at a lower bound that the root's
-        claim-horizon cutoff proves, so no lower cap is searched: Maker needs
-        a claim in each of the masks the greedy packing (smallest first)
-        finds disjoint, and Breaker needs every vertex of some mask.
+        wins.  It is found by capped searches in increasing order of cap,
+        each on a fresh memo and counted in stats.count_searches and
+        stats.count_nodes, and only over the caps that these exact root
+        bounds leave open:
+
+        - Floor.  When Maker wins, his claims at the end form a resolving
+          set, so he needs at least dim_k(G) of them.  The floor is the
+          least budget at which _least_hitting_set finds a resolving set,
+          asked for from 0 up, which it refuses at once below its greedy
+          packing of disjoint masks.  When Breaker wins, she needs every
+          vertex of some mask, so at least the size of the smallest.
+        - Ceiling.  When Maker wins and the empty board has a pair cover of
+          p pairs (the cached resolve._root_cover), he wins within p claims
+          whoever moves first, by the pairing strategy of the module
+          docstring.  Once every cap below p has lost, the answer is p, and
+          the search under cap p, which would only prove it, is skipped.
+        - Relation (used by move_counts).  mrk <= m'rk and b'rk <= brk: the
+          winner, moving first, imagines that its opponent has claimed some
+          free vertex and follows its second-player strategy from there; if
+          the opponent claims the imagined vertex, it imagines another.  Its
+          claims are the strategy's claims, all of them free on the real
+          board, since the imagined opponent holds the real one's claims
+          and more; and a win depends on the winner's own claims only (a
+          resolving set for Maker, a whole mask for Breaker).  So the
+          winner's count in the game it moves first in is a floor for the
+          other game.  An N outcome has one winner per game and no relation.
+
+        The search relies on dim <= mrk <= m'rk and b'rk <= brk, so the
+        verify suite's count-bounds property cannot catch a violation of
+        them; the naive count oracle of the tests and the answer digest do.
         """
         maker_is_winner = self.maker_wins(0, 0, maker_first, maker_first)
-        if maker_is_winner:
-            used = least = 0
-            for mask in sorted(self.masks, key=int.bit_count):
-                if not mask & used:
-                    used |= mask
-                    least += 1
-        else:
-            least = min(map(int.bit_count, self.masks))  # Breaker wins only while some mask is unhit
-        for cap in range(least, self.n + 1):
+        return self._least_cap(maker_first, maker_is_winner, *self._root_bounds(maker_is_winner))
+
+    def _root_bounds(self, maker_is_winner: bool) -> tuple[int, int]:
+        """The floor and ceiling of winner_move_count in either game; n + 1 for no ceiling."""
+        masks = self.masks
+        ceiling = self.n + 1
+        if not maker_is_winner:
+            return min(map(int.bit_count, masks)), ceiling  # Breaker wins only while some mask is unhit
+        cover = _root_cover(masks)
+        if cover is not None:
+            ceiling = len(cover)
+        floor = 0
+        while floor < ceiling and _least_hitting_set(masks, floor) is None:
+            floor += 1
+        return floor, ceiling
+
+    def _least_cap(self, maker_first: bool, maker_is_winner: bool, floor: int, ceiling: int) -> int:
+        """The least cap from floor up under which the winner wins, where it is known to win under ceiling."""
+        for cap in range(floor, ceiling):
             tally = SolverStats()
             won = self._searcher({}, tally, cap, cap_maker=maker_is_winner)(0, 0, maker_first)
+            self.stats.count_searches += 1
             self.stats.count_nodes += tally.nodes
             if won == maker_is_winner:
                 return cap
-        raise InvariantError(f"the winner does not win within all {self.n} vertices")
+        if ceiling > self.n:
+            raise InvariantError(f"the winner does not win within all {self.n} vertices")
+        return ceiling
 
     def move_counts(self, out: GameOutcome | None = None) -> MoveCounts:
+        """Winner move counts of both games; under M or B the first game's count is the second's floor."""
         actual = self.outcome()
         if out is not None and out != actual:
             raise ValueError(f"supplied outcome {out} disagrees with solver outcome {actual}")
-        m_count = self.winner_move_count(maker_first=True)
-        b_count = self.winner_move_count(maker_first=False)
-        if actual.symbol is OutcomeSymbol.M:
-            return MoveCounts(mrk=m_count, mprime_rk=b_count)
-        if actual.symbol is OutcomeSymbol.B:
-            return MoveCounts(brk=m_count, bprime_rk=b_count)
-        return MoveCounts(nrk=m_count, nprime_rk=b_count)
+        if actual.symbol is OutcomeSymbol.N:
+            return MoveCounts(nrk=self.winner_move_count(maker_first=True),
+                              nprime_rk=self.winner_move_count(maker_first=False))
+        # count the game the winner moves first in, then the other from that count up (winner_move_count's relation)
+        maker_is_winner = actual.symbol is OutcomeSymbol.M
+        floor, ceiling = self._root_bounds(maker_is_winner)
+        first = self._least_cap(maker_is_winner, maker_is_winner, floor, ceiling)
+        second = self._least_cap(not maker_is_winner, maker_is_winner, first, ceiling)
+        if maker_is_winner:
+            return MoveCounts(mrk=first, mprime_rk=second)
+        return MoveCounts(brk=second, bprime_rk=first)
 
 
 # -- module-level operations ------------------------------------------------

@@ -5,9 +5,10 @@ item, built by bench/inputs.py (read, never changed), and every connected
 graph of order 3-7 at k = 1..stable_level.  Each item gets one canonical
 line: outcome symbol, both winners, move counts, dimension and witness, and
 the certificate's kind, reason, pairs and witnesses.  The SHA-256 of those
-lines and the item count are compared with tests/data/answers.json.  Node
-and orbit-search totals are printed but not compared: a pruning change may
-move them without moving an answer.
+lines and the item count are compared with tests/data/answers.json.  The
+totals of nodes, count searches (capped searches, one per cap) and orbit
+searches are printed but not compared: a pruning change may move them
+without moving an answer.
 
     python tests/answers.py                 # recompute, compare with tests/data/answers.json
     python tests/answers.py --src DIR       # the same against another checkout's src/
@@ -66,6 +67,7 @@ def answer_line(item_id: str, g, k: int, totals: dict[str, int]) -> str:
     cert = certificate_fast_path(g, dm, k)
     totals["outcome nodes"] += solver.stats.nodes
     totals["count nodes"] += solver.stats.count_nodes
+    totals["count searches"] += solver.stats.count_searches
     totals["orbit searches"] += solver.stats.orbit_searches
     fields = [
         item_id,
@@ -90,7 +92,7 @@ def answer_line(item_id: str, g, k: int, totals: dict[str, int]) -> str:
 
 
 def sweep() -> tuple[list[str], dict[str, int]]:
-    totals = {"outcome nodes": 0, "count nodes": 0, "orbit searches": 0}
+    totals = {"outcome nodes": 0, "count nodes": 0, "count searches": 0, "orbit searches": 0}
     return [answer_line(item_id, g, k, totals) for item_id, g, k in items()], totals
 
 

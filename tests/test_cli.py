@@ -71,7 +71,8 @@ class TestSolve:
             "k": 1, "game": "m", "winner": "Maker",
             "timing": report["per_k"][0]["timing"], "stats": report["per_k"][0]["stats"],
         }
-        assert set(report["per_k"][0]["stats"]) == {"nodes", "tt_entries", "tt_hits", "count_nodes", "orbit_searches"}
+        stats = {"nodes", "tt_entries", "tt_hits", "count_searches", "count_nodes", "orbit_searches"}
+        assert set(report["per_k"][0]["stats"]) == stats
 
     def test_certificates_flag(self, capsys):
         code, report = run_json(

@@ -24,7 +24,7 @@ from mbresolve.game import (
     winner,
 )
 from mbresolve.graph import all_pairs_distances, build_graph
-from mbresolve.resolve import PairSystemKind, check_pair_system
+from mbresolve.resolve import PairSystemKind, check_pair_system, metric_dimension_k
 
 from oracles import naive_least_cover, naive_maker_wins, naive_outcome_symbol, naive_winner_count, naive_wins_within
 
@@ -162,17 +162,19 @@ class TestOutcome:
             solver = GameSolver(g, dm, 1)
             assert solver.outcome().symbol is symbol
             assert solver.stats.nodes == nodes, n
-        # the count searches of the benchmark's slowest counts items, C12, thm_f(alpha=4) and thm_d
-        for name, kw, nodes in (("cycle", {"n": 12}, 192), ("thm_f", {"alpha": 4}, 154), ("thm_d", {}, 55)):
+        # the count searches of the benchmark's slowest counts items, C12, thm_f(alpha=4) and thm_d, and of Petersen
+        rows = (("cycle", {"n": 12}, 1, 80), ("thm_f", {"alpha": 4}, 4, 111), ("thm_d", {}, 4, 35),
+                ("petersen", {}, 2, 79))
+        for name, kw, searches, nodes in rows:
             g, dm = family(name, **kw)
             solver = GameSolver(g, dm, 1)
             solver.move_counts()
-            assert solver.stats.count_nodes == nodes, name
+            assert (solver.stats.count_searches, solver.stats.count_nodes) == (searches, nodes), name
         # the ROADMAP sweep's draw (0.5, 0) at n = 18, where count search is the cost
         g = random_connected_graph(18, 0.5, random.Random(12345))
         solver = GameSolver(g, all_pairs_distances(g), 1)
         assert solver.move_counts() == MoveCounts(mrk=5, mprime_rk=5)
-        assert solver.stats.count_nodes == 31_301
+        assert (solver.stats.count_searches, solver.stats.count_nodes) == (2, 27_323)
 
     def test_memo_hits_counted(self):
         # C13 still searches (156 nodes); the pairing cutoff settles C12 at the root
@@ -444,14 +446,22 @@ class TestForkCutoff:
 
 class TestPairingCutoff:
     def test_atlas_order_six_matches_naive_oracles(self):
+        symbols = set()
         for g in connected_graph_atlas(max_n=6, min_n=6):
             dm = all_pairs_distances(g)
             for k in range(1, dm.stable_level + 1):
                 solver = GameSolver(g, dm, k)
-                assert int(solver.outcome().symbol) == naive_outcome_symbol(dm, k), (sorted(g.edges), k)
-                for maker_first in (True, False):
-                    want = naive_winner_count(dm, k, maker_first)
-                    assert solver.winner_move_count(maker_first) == want, (sorted(g.edges), k, maker_first)
+                symbol = solver.outcome().symbol
+                assert int(symbol) == naive_outcome_symbol(dm, k), (sorted(g.edges), k)
+                symbols.add(symbol)
+                want = [naive_winner_count(dm, k, maker_first) for maker_first in (True, False)]
+                for maker_first, count in zip((True, False), want):
+                    assert solver.winner_move_count(maker_first) == count, (sorted(g.edges), k, maker_first)
+                # move_counts counts one game from the other's count up: the same counts
+                names = {OutcomeSymbol.M: ("mrk", "mprime_rk"), OutcomeSymbol.B: ("brk", "bprime_rk"),
+                         OutcomeSymbol.N: ("nrk", "nprime_rk")}[symbol]
+                assert solver.move_counts() == MoveCounts(**dict(zip(names, want))), (sorted(g.edges), k)
+        assert symbols == {OutcomeSymbol.B, OutcomeSymbol.N, OutcomeSymbol.M}
 
     def test_capped_cover_larger_than_claims_left(self):
         # mid-game positions whose free parts have a cover of p pairs: with r < p
@@ -508,6 +518,35 @@ class TestMoveCounts:
         for name, params, k, expected in rows:
             g, dm = family(name, **params)
             assert move_counts(g, dm, k).defined() == expected, (name, params, k)
+
+    def test_c12_searches_one_cap(self, monkeypatch):
+        # C12's M-game: the floor is dim = 5 and the empty board's pair cover
+        # has 6 pairs, so only cap 5 is searched; it loses, and mrk = 6 is then
+        # the B-game's floor, equal to its ceiling, so the B-game searches nothing
+        g, dm = family("cycle", n=12)
+        solver = GameSolver(g, dm, 1)
+        assert metric_dimension_k(dm, 1).value == 5
+        assert len(resolve._root_cover(solver.masks)) == 6
+        searched = []
+        real = solver._searcher
+
+        def searcher(memo, tally, cap=None, cap_maker=True):
+            search = real(memo, tally, cap, cap_maker)
+            return lambda maker, breaker, maker_to_move: searched.append((cap, maker_to_move)) or search(
+                maker, breaker, maker_to_move)
+
+        monkeypatch.setattr(solver, "_searcher", searcher)
+        assert solver.move_counts() == MoveCounts(mrk=6, mprime_rk=6)
+        assert searched == [(5, True)]
+        assert solver.stats.count_searches == 1
+
+    def test_dimension_floor_respects_the_solver_size_cap(self, monkeypatch):
+        # the floor's dimension query must not apply the default size cap to a solver given a larger one
+        g, dm = family("petersen")
+        monkeypatch.setattr(resolve, "DEFAULT_SIZE_CAP", g.n - 1)
+        with pytest.raises(SizeCapError):
+            metric_dimension_k(dm, 1)
+        assert GameSolver(g, dm, 1, size_cap=g.n).move_counts() == MoveCounts(mrk=3, mprime_rk=3)
 
     def test_c4_counts_equal_dimension(self):
         g, dm = family("cycle", n=4)
