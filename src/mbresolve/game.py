@@ -51,7 +51,10 @@ exact reductions are always on; each leaves every node's value unchanged:
   exists unless it runs past that; at the empty board it is
   resolve._root_cover, computed once per mask set and shared with
   resolve.search_pair_system.  Under a cap on Maker the budget is 0, one
-  greedy descent: there backtracking settled few more nodes than it cost.
+  greedy descent.  Backtracking there settles many more nodes, but the
+  small count searches of the benchmark's counts workload run slower with
+  it: a budget of 40 took 44% off the count nodes of tests/answers.py, yet
+  added about 8% to counts' wall_s and 25% to its item_p99_ms.
 - Threats.  An unhit mask with one free vertex is a threat: Breaker to move
   claims it and wins, and Maker to move must claim it, because any other move
   lets Breaker win at once.  A node with a threat never fires the pairing
@@ -92,11 +95,10 @@ many small free parts comes first: a Breaker claim there brings her nearest
 to filling a mask, and a Maker claim there hits the most of them.  Ties
 keep the order in which the vertices first appear in the free parts, lowest
 vertex first within a part; the parts are read in mask order (smallest
-first), or by free-part size under a cap on Maker.  Ordering changes only
-which move is tried first, never a node's value.  No reduction changes the
-memo key.  A node a reduction settles is not stored,
-except the entry position of a search: its value is stored whatever settled
-it, so asking for it again costs one memo probe.
+first).  Ordering changes only which move is tried first, never a node's
+value.  No reduction changes the memo key.  A node a reduction settles is
+not stored, except the entry position of a search: its value is stored
+whatever settled it, so asking for it again costs one memo probe.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ from .resolve import (
     _require_in_range,
     _root_cover,
     _twin_classes,
+    metric_dimension_k,
     minimal_pair_masks,
     search_pair_system,
 )
@@ -276,10 +279,13 @@ class GameSolver:
     """Solves both games on one (graph, k); reusable across winner/count queries.
 
     Moves are tried in decreasing order of danger (see the module docstring);
-    the order never changes a result.
+    the order never changes a result.  The memo keys are packed by graph.n and
+    the masks read from dm, so a dm of another order raises ValueError.
     """
 
     def __init__(self, graph: Graph, dm: DistanceMatrix, k: int, *, size_cap: int | None = None):
+        if dm.n != graph.n:
+            raise ValueError(f"distance matrix of order {dm.n} given for a graph of order {graph.n}")
         cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
         if graph.n > cap:
             raise SizeCapError(graph.n, cap)
@@ -383,12 +389,11 @@ class GameSolver:
                 return True  # Breaker cannot fill a mask within her cap
             if not maker_to_move and min_free == 1:
                 return False  # Breaker claims the threat's vertex
-            ranked, left = parts, MAX_PAIR_SYSTEM
+            left = MAX_PAIR_SYSTEM
             if maker_cap is not None:
                 left = maker_cap - maker.bit_count()
-                ranked = sorted(parts, key=int.bit_count)
                 used = packed = 0
-                for rest in ranked:
+                for rest in sorted(parts, key=int.bit_count):
                     if not rest & used:
                         used |= rest
                         packed += 1
@@ -421,7 +426,7 @@ class GameSolver:
                     moves &= ~(open_twins & (open_twins - 1))  # keep the lowest unclaimed twin only
             if moves & (moves - 1):
                 danger = {}
-                for rest in ranked:
+                for rest in parts:
                     weight = unit >> rest.bit_count()
                     rest &= moves
                     while rest:
@@ -537,11 +542,11 @@ class GameSolver:
         bounds leave open:
 
         - Floor.  When Maker wins, his claims at the end form a resolving
-          set, so he needs at least dim_k(G) of them.  The floor is the
-          least budget at which _least_hitting_set finds a resolving set,
-          asked for from 0 up, which it refuses at once below its greedy
-          packing of disjoint masks.  When Breaker wins, she needs every
-          vertex of some mask, so at least the size of the smallest.
+          set, so he needs at least dim_k(G) of them (metric_dimension_k,
+          under the solver's size cap); a pair cover's p pairs give a
+          resolving set of p vertices, so this never exceeds the ceiling.
+          When Breaker wins, she needs every vertex of some mask, so at
+          least the size of the first, since the masks are smallest first.
         - Ceiling.  When Maker wins and the empty board has a pair cover of
           p pairs (the cached resolve._root_cover), he wins within p claims
           whoever moves first, by the pairing strategy of the module
@@ -567,17 +572,11 @@ class GameSolver:
 
     def _root_bounds(self, maker_is_winner: bool) -> tuple[int, int]:
         """The floor and ceiling of winner_move_count in either game; n + 1 for no ceiling."""
-        masks = self.masks
-        ceiling = self.n + 1
         if not maker_is_winner:
-            return min(map(int.bit_count, masks)), ceiling  # Breaker wins only while some mask is unhit
-        cover = _root_cover(masks)
-        if cover is not None:
-            ceiling = len(cover)
-        floor = 0
-        while floor < ceiling and _least_hitting_set(masks, floor) is None:
-            floor += 1
-        return floor, ceiling
+            return self.masks[0].bit_count(), self.n + 1  # Breaker wins only while some mask is unhit
+        cover = _root_cover(self.masks)
+        floor = metric_dimension_k(self.dm, self.k, size_cap=self.n).value
+        return floor, self.n + 1 if cover is None else len(cover)
 
     def _least_cap(self, maker_first: bool, maker_is_winner: bool, floor: int, ceiling: int) -> int:
         """The least cap from floor up under which the winner wins, where it is known to win under ceiling."""
@@ -648,8 +647,11 @@ def certificate_fast_path(graph: Graph, dm: DistanceMatrix, k: int) -> Certifica
     resolving transversals of p <= n/2 vertices, and a quasi-pairing's
     transversals plus its witness, outside the 2p pair vertices, resolve
     with p + 1 <= (n+1)/2 vertices, so either system already gives
-    dimension at most ceil(n/2).
+    dimension at most ceil(n/2).  A dm of another order than graph raises
+    ValueError.
     """
+    if dm.n != graph.n:
+        raise ValueError(f"distance matrix of order {dm.n} given for a graph of order {graph.n}")
     masks = minimal_pair_masks(dm, k)
     twin_classes = _twin_classes(masks)
     big = [cls for cls in twin_classes if len(cls) >= 4]

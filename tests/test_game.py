@@ -136,6 +136,25 @@ class TestOutcome:
         with pytest.raises(SizeCapError):
             outcome(g, dm, 1, size_cap=7)
 
+    def test_distance_matrix_of_another_order_rejected(self):
+        # memo keys are packed by graph.n and masks read from dm: this M graph
+        # of order 9 read as order 2 gave N with no error
+        edges = [(0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (1, 2), (1, 5), (2, 6), (3, 6), (3, 7), (4, 7), (5, 6),
+                 (5, 8), (6, 7)]
+        g = build_graph(9, edges)
+        dm = all_pairs_distances(g)
+        assert outcome(g, dm, 1).symbol is OutcomeSymbol.M
+        small = build_graph(2, [(0, 1)])
+        for g_, dm_ in ((small, dm), (g, all_pairs_distances(small))):
+            with pytest.raises(ValueError, match="order"):
+                GameSolver(g_, dm_, 1)
+            with pytest.raises(ValueError, match="order"):
+                outcome(g_, dm_, 1)
+            with pytest.raises(ValueError, match="order"):
+                move_counts(g_, dm_, 1)
+            with pytest.raises(ValueError, match="order"):
+                certificate_fast_path(g_, dm_, 1)
+
     def test_single_vertex_trivially_maker(self):
         g = build_graph(1, [])
         dm = all_pairs_distances(g)
@@ -174,7 +193,7 @@ class TestOutcome:
         g = random_connected_graph(18, 0.5, random.Random(12345))
         solver = GameSolver(g, all_pairs_distances(g), 1)
         assert solver.move_counts() == MoveCounts(mrk=5, mprime_rk=5)
-        assert (solver.stats.count_searches, solver.stats.count_nodes) == (2, 27_323)
+        assert (solver.stats.count_searches, solver.stats.count_nodes) == (2, 27_208)
 
     def test_memo_hits_counted(self):
         # C13 still searches (156 nodes); the pairing cutoff settles C12 at the root
@@ -539,6 +558,21 @@ class TestMoveCounts:
         assert solver.move_counts() == MoveCounts(mrk=6, mprime_rk=6)
         assert searched == [(5, True)]
         assert solver.stats.count_searches == 1
+
+    @pytest.mark.parametrize("name, kw, symbol", [("cycle", {"n": 7}, OutcomeSymbol.M),
+                                                  ("star", {"beta": 4}, OutcomeSymbol.B)])
+    def test_winner_that_never_wins_a_capped_search_raises(self, monkeypatch, name, kw, symbol):
+        # with no root cover (C7's certificate is a quasi-pairing; Breaker's
+        # counts have no ceiling) every cap up to n is searched, and a capped
+        # search that always answers for the loser breaks the last invariant
+        g, dm = family(name, **kw)
+        solver = GameSolver(g, dm, 1)
+        assert solver.outcome().symbol is symbol
+        assert symbol is OutcomeSymbol.B or resolve._root_cover(solver.masks) is None
+        monkeypatch.setattr(solver, "_searcher",
+                            lambda memo, tally, cap=None, cap_maker=True: lambda *position: not cap_maker)
+        with pytest.raises(InvariantError, match="does not win within all"):
+            solver.move_counts()
 
     def test_dimension_floor_respects_the_solver_size_cap(self, monkeypatch):
         # the floor's dimension query must not apply the default size cap to a solver given a larger one
