@@ -2,19 +2,21 @@
 
 Each check compares solver output against a documented expectation (a family
 closed form, a known exact value, or an internal consistency law) and reports
-pass/fail with its runtime.  The quick level stays within order 15; the full
-level adds the order-14 double-jump realization and the exhaustive tree sweep.
+pass/fail with its runtime.  The quick level reaches order 21 (the cycle C21);
+the full level adds the exhaustive tree sweep.
 
 Most checks are rows of two tables.  A family row solves each of its
-instances with jump_report at every level 1..stable_level, so an outcome that
-falls with the level fails it, and compares each level with
+instances at every level 1..stable_level with one GameSolver per (instance,
+level), under the instance's own order as size cap, so an outcome that falls
+with the level fails it, and compares each level with
 families.predict_outcome; a row that states a count law also compares the
-winner move counts with families.predicted_counts.  The predictors alone say
-which levels a closed form covers, and a row that checks no level fails.  The
-result lists the row's jumps and records the computed symbol wherever the
-closed form leaves it open.  A property row counts the violations of one law
-over the shared property dataset, which ``properties.dataset`` records, and
-also fails if it checks nothing.
+winner move counts, taken from the same solver, with
+families.predicted_counts.  The predictors alone say which levels a closed
+form covers, and a row that checks no level fails.  The result lists the
+row's jumps and records the computed symbol wherever the closed form leaves
+it open.  A property row counts the violations of one law over the shared
+property dataset, which ``properties.dataset`` records, and also fails if it
+checks nothing.
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ from .families import (
 from .game import (
     Certificate,
     GameSolver,
+    JumpReport,
     MoveCounts,
     OutcomeSymbol,
     certificate_fast_path,
-    jump_report,
-    move_counts,
     outcome,
 )
 from .graph import Graph, all_pairs_distances, truncated_distance
@@ -142,7 +143,7 @@ def _check(check_id: str, level: str = "quick"):
     return wrap
 
 
-def _closed_form(check_id: str, expected: str, specs, *, counts: bool = False, level: str = "quick") -> None:
+def _closed_form(check_id: str, expected: str, specs, *, counts: bool = False) -> None:
     """Register a family row (see the module docstring); ``counts`` adds the count law."""
     specs = tuple(specs)
 
@@ -153,10 +154,11 @@ def _closed_form(check_id: str, expected: str, specs, *, counts: bool = False, l
             name = spec.describe()
             g = gen_family(spec)
             dm = all_pairs_distances(g)
-            report = jump_report(g, dm)
+            solvers = [GameSolver(g, dm, k, size_cap=g.n) for k in range(1, dm.stable_level + 1)]
+            report = JumpReport.from_outcomes((k, solver.outcome()) for k, solver in enumerate(solvers, 1))
             if report.jumps:
                 jumps.append(name + " " + " ".join(f"({k}, {a.letter}->{b.letter})" for k, a, b in report.jumps))
-            for k, out in report.outcomes:
+            for solver, (k, out) in zip(solvers, report.outcomes):
                 try:
                     allowed = predict_outcome(spec, k)
                 except NotCoveredError:
@@ -169,8 +171,9 @@ def _closed_form(check_id: str, expected: str, specs, *, counts: bool = False, l
                 if len(allowed) != 1:
                     recorded.append(f"{name} k={k}:{out.symbol.letter}")
                 if counts:
-                    found = move_counts(g, dm, k, out).defined()
-                    if found != predicted_counts(spec, k, dim_value=metric_dimension_k(dm, k).value):
+                    found = solver.move_counts(out).defined()
+                    dim_value = metric_dimension_k(dm, k, size_cap=g.n).value
+                    if found != predicted_counts(spec, k, dim_value=dim_value):
                         bad.append(f"{name} k={k} counts {found}")
         actual = f"{checked} (instance, level) pairs checked, {skipped} without a closed form"
         if counts:
@@ -179,7 +182,7 @@ def _closed_form(check_id: str, expected: str, specs, *, counts: bool = False, l
                    f"recorded: {', '.join(recorded) or 'none'}")
         return expected, actual, checked > 0 and not bad
 
-    _check(check_id, level)(check)
+    _check(check_id)(check)
 
 
 def _partitions_up_to(total: int):
@@ -208,43 +211,24 @@ _closed_form(
     counts=True,
 )
 _closed_form(
-    "multipartite.outcome-table",
-    "every complete multipartite graph of order <= 10 matches the closed-form case table",
-    _MULTIPARTITE,
-)
-_closed_form(
-    "multipartite.move-counts",
-    "multipartite counts: breaker-win pairs (2,2); first-player-win pairs (dimension, 2); "
-    "maker-win pairs (dimension, dimension)",
+    "multipartite.outcome-and-counts",
+    "every complete multipartite graph of order <= 10 matches the closed-form case table; counts: "
+    "breaker-win pairs (2,2); first-player-win pairs (dimension, 2); maker-win pairs (dimension, dimension)",
     _MULTIPARTITE,
     counts=True,
 )
 _closed_form(
     "cycles.closed-form",
-    "cycle outcomes for 3 <= n <= 11 at every covered level: N at n=3; M for even n; M for "
-    "odd n >= 5 (the closed form covers level 1 only up to n=9)",
-    (FamilySpec.make("cycle", n=n) for n in range(3, 12)),
+    "cycle outcomes for 3 <= n <= 17 and n = 21 at every level: N at n=3; M for even n; M for odd "
+    "n >= 5 from level 2 upward, and at level 1 up to n=9; level 1 of odd n >= 11 has no closed "
+    "form and is recorded",
+    (FamilySpec.make("cycle", n=n) for n in (*range(3, 18), 21)),
 )
 _closed_form(
-    "cycles.level1-small-odd",
-    "outcome M on the odd cycles of order 5, 7 and 9 at every level, level 1 included",
-    (FamilySpec.make("cycle", n=n) for n in (5, 7, 9)),
-)
-_closed_form(
-    "cycles.level1-odd-records",
-    "outcome M on the odd cycles of order 11, 13, 15 and 17 from level 2 upward; level 1 has no "
-    "closed form and is recorded",
-    (FamilySpec.make("cycle", n=n) for n in (11, 13, 15, 17)),
-)
-_closed_form(
-    "wheels.small",
-    "wheel outcomes: B on the 3-wheel; M for rim orders 4..8",
-    (FamilySpec.make("wheel", n=n) for n in range(3, 9)),
-)
-_closed_form(
-    "wheels.rim9-bound",
-    "9-rim wheel outcome within {M, N}; value recorded",
-    [FamilySpec.make("wheel", n=9)],
+    "wheels.closed-form",
+    "wheel outcomes for rim orders 3..9: B on the 3-wheel; M for rim orders 4..8; the 9-rim wheel "
+    "within {M, N}, value recorded",
+    (FamilySpec.make("wheel", n=n) for n in range(3, 10)),
 )
 _closed_form("realizations.thm_a", "subdivided star, alpha=3: outcome M at every level",
              [FamilySpec.make("thm_a", alpha=3)])
@@ -259,7 +243,7 @@ _closed_form("realizations.thm_e", "twin-leaf spine with a triple end, alpha=3: 
 _closed_form("realizations.thm_f", "twin-leaf spine, alpha=4: B at level 1, then M",
              [FamilySpec.make("thm_f", alpha=4)])
 _closed_form("realizations.fig1", "branched gadget, alpha=2: B at level 1, N at level 2, then M",
-             [FamilySpec.make("fig1", alpha=2)], level="full")
+             [FamilySpec.make("fig1", alpha=2)])
 
 
 # -- known exact values --------------------------------------------------------
@@ -356,23 +340,31 @@ def _unstable(rec: _PropertyRecord, values: dict) -> bool:
     return len({values[k] for k in rec.ks if k >= rec.stable_level}) != 1
 
 
+def _game_counts(counts: MoveCounts) -> tuple[int | None, ...]:
+    """Winner counts as (Maker's M-game, Maker's B-game, Breaker's M-game, Breaker's B-game), None where that side loses."""
+    return (counts.mrk if counts.mrk is not None else counts.nrk, counts.mprime_rk,
+            counts.brk, counts.bprime_rk if counts.bprime_rk is not None else counts.nprime_rk)
+
+
 def _count_bounds_broken(rec: _PropertyRecord):
     # dim <= mrk <= m'rk and b'rk <= brk are inputs to the count search (GameSolver.winner_move_count), so this
     # check cannot catch a violation of them: the naive count oracle of the tests and the answer digest carry
-    # that guarantee.  It still tests the floor(n/2) bound and monotonicity in k.
-    half = rec.graph.n // 2
+    # that guarantee.  It still tests each count against the claims its side gets in its game (ceil(n/2) as
+    # first player, floor(n/2) as second) and monotonicity in k: a set that resolves at level k resolves at
+    # level k+1, so a side that wins a game at both levels needs no more claims (Maker) or no fewer (Breaker)
+    # at k+1.
+    n = rec.graph.n
+    claims = ((n + 1) // 2, n // 2, n // 2, (n + 1) // 2)  # in _game_counts' order
     for k in rec.ks:
-        symbol = rec.symbols[k]
-        counts, nxt = rec.counts[k], rec.counts.get(k + 1)
-        same_next = nxt is not None and rec.symbols[k + 1] is symbol
-        if symbol is OutcomeSymbol.M:
-            yield (not rec.dims[k] <= counts.mrk <= counts.mprime_rk <= half
-                   or same_next and (nxt.mrk > counts.mrk or nxt.mprime_rk > counts.mprime_rk))
-        elif symbol is OutcomeSymbol.B:
-            yield (not counts.bprime_rk <= counts.brk <= half
-                   or same_next and (nxt.brk < counts.brk or nxt.bprime_rk < counts.bprime_rk))
-        else:
-            yield False
+        maker_m, maker_b, breaker_m, breaker_b = counts = _game_counts(rec.counts[k])
+        ok = all(c is None or c <= most for c, most in zip(counts, claims))
+        ok = ok and (maker_m is None or rec.dims[k] <= maker_m and (maker_b is None or maker_m <= maker_b))
+        ok = ok and (breaker_m is None or breaker_b <= breaker_m)
+        if k + 1 in rec.counts:
+            for side, (now, then) in enumerate(zip(counts, _game_counts(rec.counts[k + 1]))):
+                if now is not None and then is not None:
+                    ok = ok and (then <= now if side < 2 else then >= now)  # the first two are Maker's
+        yield not ok
 
 
 _property(
@@ -403,9 +395,10 @@ _property(
 )
 _property(
     "properties.count-bounds",
-    "maker wins: dim <= first-game count <= second-game count <= floor(n/2), counts "
-    "non-increasing in the level; breaker wins: second-game count <= first-game count <= "
-    "floor(n/2), counts non-decreasing in the level",
+    "maker wins: dim <= first-game count <= second-game count <= floor(n/2); breaker wins: "
+    "second-game count <= first-game count <= floor(n/2); first player wins: dim <= maker count "
+    "<= ceil(n/2), breaker count <= ceil(n/2); a side that wins a game at levels k and k+1 needs "
+    "no more claims there at k+1 (maker) or no fewer (breaker)",
     "solves",
     _count_bounds_broken,
 )

@@ -14,7 +14,7 @@ import pytest
 from mbresolve import families, verify
 from mbresolve.errors import InvariantError, NotCoveredError
 from mbresolve.families import connected_graph_atlas
-from mbresolve.game import Certificate, CertificateKind, MoveCounts, OutcomeSymbol
+from mbresolve.game import Certificate, CertificateKind, GameSolver, MoveCounts, OutcomeSymbol
 from mbresolve.graph import all_pairs_distances
 from mbresolve.resolve import is_resolving
 
@@ -22,10 +22,9 @@ from oracles import direct_is_resolving
 
 CHECK_IDS = [check_id for check_id, _, _ in verify._REGISTRY]
 FAMILY_IDS = [
-    "petersen.outcome-and-counts", "multipartite.outcome-table", "multipartite.move-counts",
-    "cycles.closed-form", "cycles.level1-small-odd", "cycles.level1-odd-records", "wheels.small",
-    "wheels.rim9-bound", "realizations.thm_a", "realizations.thm_b", "realizations.star4",
-    "realizations.thm_d", "realizations.thm_e", "realizations.thm_f", "realizations.fig1",
+    "petersen.outcome-and-counts", "multipartite.outcome-and-counts", "cycles.closed-form", "wheels.closed-form",
+    "realizations.thm_a", "realizations.thm_b", "realizations.star4", "realizations.thm_d", "realizations.thm_e",
+    "realizations.thm_f", "realizations.fig1",
 ]
 PROPERTY_IDS = [
     "properties.outcome-monotone", "properties.dimension-monotone", "properties.dimension-stabilizes",
@@ -96,8 +95,23 @@ def test_family_rows_follow_the_count_law(monkeypatch):
     monkeypatch.setattr(verify, "predicted_counts", off_by_one)
     suite = verify.run_suite(level="full", only=FAMILY_IDS)
     assert [c.check_id for c in suite.checks if not c.passed] == [
-        "petersen.outcome-and-counts", "multipartite.move-counts",
+        "petersen.outcome-and-counts", "multipartite.outcome-and-counts",
     ]
+
+
+def test_count_row_builds_one_solver_per_level(monkeypatch):
+    # the outcome, the jumps and the move counts of each (instance, level) come from one solver
+    built = []
+    init = GameSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GameSolver, "__init__", counting_init)
+    suite = verify.run_suite(level="quick", only=["multipartite."])
+    assert [c.check_id for c in suite.checks] == ["multipartite.outcome-and-counts"] and suite.all_passed
+    assert len(built) == len(verify._MULTIPARTITE) == 128  # diameter <= 2: level 1 only
 
 
 # A record of a 4-vertex graph that keeps every property: outcome M at each
@@ -126,8 +140,17 @@ _SOUND = verify._PropertyRecord(
     ({"counts": {1: MoveCounts(mrk=1, mprime_rk=1), 2: MoveCounts(mrk=1, mprime_rk=1),
                  3: MoveCounts(mrk=2, mprime_rk=2)}}, ["properties.count-bounds"]),
     ({"certs": {1: None, 2: None, 3: None}}, ["properties.certificates-sound"]),  # checks nothing
+    ({"symbols": dict.fromkeys((1, 2, 3), OutcomeSymbol.N),
+      "counts": dict.fromkeys((1, 2, 3), MoveCounts(nrk=3, nprime_rk=2))}, ["properties.count-bounds"]),
+    ({"symbols": dict.fromkeys((1, 2, 3), OutcomeSymbol.N),
+      "counts": {1: MoveCounts(nrk=1, nprime_rk=2), 2: MoveCounts(nrk=1, nprime_rk=1),
+                 3: MoveCounts(nrk=1, nprime_rk=1)}}, ["properties.count-bounds"]),
+    ({"symbols": {1: OutcomeSymbol.N, 2: OutcomeSymbol.M, 3: OutcomeSymbol.M},
+      "counts": {1: MoveCounts(nrk=1, nprime_rk=2), 2: MoveCounts(mrk=2, mprime_rk=2),
+                 3: MoveCounts(mrk=2, mprime_rk=2)}}, ["properties.count-bounds"]),
 ], ids=["sound", "outcome-falls", "outcome-unstable", "dimension-rises", "dimension-unstable",
-        "certificate-contradicts", "count-above-half", "count-rises", "no-certificate"])
+        "certificate-contradicts", "count-above-half", "count-rises", "no-certificate",
+        "first-player-count-above-half", "first-player-breaker-count-falls", "first-player-maker-count-rises"])
 def test_property_rows_catch_their_violation(monkeypatch, planted, failing):
     record = dataclasses.replace(_SOUND, **planted)
     monkeypatch.setattr(verify._Context, "property_data", lambda self: [record])

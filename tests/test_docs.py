@@ -34,7 +34,7 @@ def test_library_snippet_runs():
 
 
 def test_check_counts_match_registry():
-    # README: "verify-paper --level quick ... # 25 checks", "--level full ... # 27 checks"
+    # README: "verify-paper --level quick ... # 22 checks", "--level full ... # 23 checks"
     quick = sum(1 for _, level, _ in _REGISTRY if level == "quick")
     for level, count in (("quick", quick), ("full", len(_REGISTRY))):
         stated = re.search(rf"verify-paper --level {level}\b.*?# (\d+) checks", README)

@@ -30,7 +30,7 @@ from mbresolve.resolve import (
     search_pair_system,
 )
 
-from oracles import brute_force_dim, direct_is_resolving, naive_least_cover, naive_pair_system_kind
+from oracles import brute_force_dim, direct_code, direct_is_resolving, naive_least_cover, naive_pair_system_kind
 
 
 def family_dm(family, **kw):
@@ -160,6 +160,27 @@ class TestMinimalMasks:
                 assert resolve._twin_classes(masks) == want, (sorted(g.edges), k)
                 levels += 1
         assert levels == 1648
+
+    def test_wheel_level1_masks_are_the_rim_cycles(self):
+        # W_n has diameter 2 and rim distances min(d_C, 2), which is C_n's truncated distance at k = 1;
+        # the hub sees every rim vertex at distance 1, so from rim order 7 up (and at 4) it lies in no
+        # minimal mask and W_n's masks are C_n's.  At rims 5 and 6 a minimal mask holds the hub.
+        def oracle_masks(dm):
+            sets = {frozenset(v for v in range(dm.n) if direct_code(dm, 1, [v], x) != direct_code(dm, 1, [v], y))
+                    for x, y in combinations(range(dm.n), 2)}
+            return {sum(1 << v for v in s) for s in sets if not any(t < s for t in sets)}
+
+        for n in range(4, 26):
+            _, wheel = family_dm("wheel", n=n)
+            _, cycle = family_dm("cycle", n=n)
+            wheel_masks, cycle_masks = minimal_pair_masks(wheel, 1), minimal_pair_masks(cycle, 1)
+            assert set(wheel_masks) == oracle_masks(wheel), n
+            assert set(cycle_masks) == oracle_masks(cycle), n
+            hub = 1 << n
+            if n in (5, 6):
+                assert wheel_masks != cycle_masks and any(m & hub for m in wheel_masks), n
+            else:
+                assert wheel_masks == cycle_masks and not any(m & hub for m in wheel_masks), n
 
 
 class TestMetricDimension:
