@@ -142,6 +142,7 @@ def cmd_solve(args) -> int:
     if args.counts and args.game != "both":
         raise MBResolveError("--counts needs --game both: the count names depend on both games' winners")
     g, descriptor = _load_source(args)
+    resolve._require_size_cap(g.n, args.max_n)  # before the distances, which cost time and memory in n^2
     dm = all_pairs_distances(g)
     ks = list(range(1, dm.stable_level + 1)) if args.k == "all" else [args.k]
     per_k = []
@@ -184,6 +185,7 @@ def cmd_solve(args) -> int:
 
 def cmd_dim(args) -> int:
     g, descriptor = _load_source(args)
+    resolve._require_size_cap(g.n, args.max_n)
     dm = all_pairs_distances(g)
     t0 = time.perf_counter()
     result = resolve.metric_dimension_k(dm, args.k, size_cap=args.max_n)

@@ -252,12 +252,30 @@ def _predict_cycle(spec: FamilySpec, k: int) -> frozenset[OutcomeSymbol]:
 
 
 def _predict_wheel(spec: FamilySpec, k: int) -> frozenset[OutcomeSymbol]:
+    """Outcome of the wheel W_n (rim C_n plus a hub) at level k.
+
+    W_n has diameter at most 2, so level 1 is its only level.  Lemma: for
+    n >= 7 its level-1 minimal masks are C_n's, and the hub lies in none
+    (tests/test_resolve.py checks this for rims 7..25).  Rim distances in
+    W_n are min(d_C, 2), C_n's own at level 1, and the hub, at distance 1
+    from every rim vertex, resolves no rim pair; so a rim pair has C_n's
+    mask.  The mask of the hub and a rim vertex x holds the n - 3 rim
+    vertices from x + 2 round to x - 2, and for n >= 7 four consecutive
+    ones among them, the C_n mask of the middle two; so it is not minimal.
+    A vertex in no minimal mask is dead: claiming it is a pass, which never
+    helps its owner.  So W_n has C_n's level-1 outcome, and this defers to
+    the cycle's closed form.  Odd rims from 11 up have none, and keep the
+    bound {M, N}.
+    """
     n = _int_param(spec, "n", 3)
     if n == 3:
         return frozenset({B})
-    if n <= 8 or n % 2 == 0:
+    if n <= 6:
         return frozenset({M})
-    return frozenset({M, N})
+    try:
+        return _predict_cycle(FamilySpec.make("cycle", n=n), 1)
+    except NotCoveredError:
+        return frozenset({M, N})
 
 
 def _parts(spec: FamilySpec) -> tuple[int, ...] | None:

@@ -73,21 +73,20 @@ exact reductions are always on; each leaves every node's value unchanged:
   A double threat is not tested for: without a fork at most one distinct
   part of two vertices holds Breaker's vertex, so the search meets one
   only at an entry position, where Maker's one forced move loses.
-- Twin pruning.  Swapping two twins is an automorphism of the graph, so it
-  maps masks to masks; while both are unclaimed it fixes the position, and
-  claiming either one leads to positions of the same value.  Only the lowest
-  unclaimed vertex of each twin class is tried, except for a forced threat
-  move, which is the one move tried.
-- Symmetry at the first two plies.  An automorphism of the graph keeps
-  distances, so it maps masks to masks; one that fixes every claimed vertex
-  maps the position to itself, and claiming v or its image leads to
-  positions of the same value.  At a node with at most one claimed vertex
-  whose first tried move did not settle it, a move is skipped when it lies
-  in the orbit of a move already tried, under automorphisms that fix the
-  claimed vertex.  The orbits come from graph._vertex_orbits, per claim,
-  and are those of a subgroup of that stabilizer, which is all the
-  argument needs: a search cut short only gives finer orbits and skips
-  less.  Each claim's orbits are searched once per solver and kept.
+- Symmetry.  A permutation of the vertices that keeps distances maps each
+  pair-resolver set R_k{x,y} onto R_k{x',y'} of the image pair, so it maps
+  masks to masks; one that also fixes every claimed vertex maps the position
+  to itself, and claiming v or its image leads to positions that are images
+  of each other, of the same value.  So once a move is refuted, every move in
+  its orbit under such permutations is refuted too and is skipped; a move is
+  skipped only after one of its orbit was tried, so a node never loses its
+  only move.  Any subgroup gives exact orbits, a smaller one only skips
+  less.  At every node the orbit is the move's twin class: swapping two
+  unclaimed twins keeps distances and fixes every claim.  At a node with at
+  most one claimed vertex it is the orbit from graph._vertex_orbits under
+  automorphisms that fix the claimed vertex, which holds the twin class, the
+  claimed vertex split off.  Those orbits are searched once per claim and
+  solver, and only when a refuted move leaves a move outside its twin class.
 
 Both sides try their moves in decreasing order of danger, the sum of
 2^-|free part| over the unhit masks that hold the vertex, so a vertex in
@@ -107,10 +106,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
-from .errors import CountUndefinedError, InvariantError, SizeCapError, VertexRangeError
+from .errors import CountUndefinedError, InvariantError, VertexRangeError
 from .graph import DistanceMatrix, Graph, _vertex_orbits
 from .resolve import (
-    DEFAULT_SIZE_CAP,
     MAX_PAIR_SYSTEM,
     PAIR_SEARCH_NODES,
     PairSystem,
@@ -118,6 +116,7 @@ from .resolve import (
     _least_hitting_set,
     _pair_cover,
     _require_in_range,
+    _require_size_cap,
     _root_cover,
     _twin_classes,
     metric_dimension_k,
@@ -286,15 +285,18 @@ class GameSolver:
     def __init__(self, graph: Graph, dm: DistanceMatrix, k: int, *, size_cap: int | None = None):
         if dm.n != graph.n:
             raise ValueError(f"distance matrix of order {dm.n} given for a graph of order {graph.n}")
-        cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
-        if graph.n > cap:
-            raise SizeCapError(graph.n, cap)
+        _require_size_cap(graph.n, size_cap)
         self.graph = graph
         self.dm = dm
         self.k = k
         self.n = graph.n
         self.masks = minimal_pair_masks(dm, k)
-        self._twin_masks = tuple(sum(1 << v for v in cls) for cls in _twin_classes(self.masks))
+        # each vertex's twin class as a bitmask (the vertex alone when it has no twin)
+        self._twins = twins = [1 << v for v in range(self.n)]
+        for cls in _twin_classes(self.masks):
+            mask = sum([1 << v for v in cls])
+            for v in cls:
+                twins[v] = mask
         self._memo: dict[int, bool] = {}
         self.stats = SolverStats()
         # vertex orbits under the automorphisms that fix the claimed vertex,
@@ -341,7 +343,7 @@ class GameSolver:
         """
         masks = self.masks
         limit = MEMO_LIMIT
-        twin_masks = self._twin_masks
+        twins = self._twins
         n = self.n
         unit = 1 << n  # danger weight 1, in units of 2^-n
         maker_cap = cap if cap_maker else None
@@ -414,21 +416,11 @@ class GameSolver:
                 if cover is not None:
                     return True  # Maker wins by the pairing strategy, within that many claims
             tally.nodes += 1
-            if maker_to_move and min_free == 1:
-                # forced, and exempt from twin pruning: that would drop this
-                # vertex for a twin that is not a move here
-                moves = smallest
-            else:
-                moves = live
-                unclaimed = ~(maker | breaker)
-                for twins in twin_masks:
-                    open_twins = twins & unclaimed
-                    moves &= ~(open_twins & (open_twins - 1))  # keep the lowest unclaimed twin only
+            moves = smallest if maker_to_move and min_free == 1 else live  # a threat's vertex is forced
             if moves & (moves - 1):
                 danger = {}
-                for rest in parts:
+                for rest in parts:  # here moves is live, which holds every part
                     weight = unit >> rest.bit_count()
-                    rest &= moves
                     while rest:
                         bit = rest & -rest
                         danger[bit] = danger.get(bit, 0) + weight
@@ -438,9 +430,8 @@ class GameSolver:
             else:
                 order = (moves,)
             claims = maker | breaker
-            # at most one claim and another move to try: prune by orbits after a refuted move
-            lookup = not claims & (claims - 1) and moves & (moves - 1)
-            orbits = None
+            lookup = not claims & (claims - 1)  # at most one claim: orbits of the automorphisms that fix it
+            orbits = twins
             skip = 0  # moves in the orbit of a refuted move
             result = not maker_to_move  # the value when no move settles the node
             for bit in order:
@@ -453,14 +444,14 @@ class GameSolver:
                 if settled:
                     result = maker_to_move
                     break
-                if lookup:
+                v = bit.bit_length() - 1
+                if lookup and moves & ~twins[v]:
                     lookup = False
                     orbits = orbit_memo.get(claims)
                     if orbits is None:
                         stats.orbit_searches += 1
-                        orbits = orbit_memo[claims] = _vertex_orbits(dm, twin_masks, claims.bit_length() - 1)
-                if orbits is not None:
-                    skip |= orbits[bit.bit_length() - 1]
+                        orbits = orbit_memo[claims] = _vertex_orbits(dm, twins, claims.bit_length() - 1)
+                skip |= orbits[v]
             if len(memo) < limit:
                 memo[key] = result
             return result

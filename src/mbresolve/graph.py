@@ -8,9 +8,10 @@ are frozen and safe to share between threads.
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .errors import DisconnectedError, LoopEdgeError, VertexRangeError
 
@@ -42,11 +43,15 @@ class Graph:
 
 
 def build_graph(n: int, edges, labels=None) -> Graph:
-    """Validate and build a Graph; duplicate edges are dropped with a log line."""
+    """Validate and build a Graph; duplicate edges are dropped with a log line.
+
+    Fewer than n - 1 distinct edges cannot connect n vertices: that raises
+    DisconnectedError before the n adjacency sets are allocated, so a huge n
+    with a short edge list costs time and memory in the edges only.
+    """
     if n < 1:
         raise VertexRangeError(f"vertex count must be >= 1, got {n}")
-    seen: set[tuple[int, int]] = set()
-    adjacency: list[set[int]] = [set() for _ in range(n)]
+    seen: dict[tuple[int, int], None] = {}  # the distinct edges, in input order
     duplicates = 0
     for u, v in edges:
         if u == v:
@@ -56,12 +61,15 @@ def build_graph(n: int, edges, labels=None) -> Graph:
         key = (u, v) if u < v else (v, u)
         if key in seen:
             duplicates += 1
-            continue
-        seen.add(key)
-        adjacency[u].add(v)
-        adjacency[v].add(u)
+        else:
+            seen[key] = None
     if duplicates:
         log.warning("dropped %d duplicate edge(s)", duplicates)
+    # too few edges: sets for the vertices they touch are enough to name the unreachable ones
+    adjacency = [set() for _ in range(n)] if len(seen) >= n - 1 else defaultdict(set)
+    for u, v in seen:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
     _check_connected(n, adjacency)
     if labels is not None:
         labels = tuple(str(x) for x in labels)
@@ -76,6 +84,7 @@ def build_graph(n: int, edges, labels=None) -> Graph:
 
 
 def _check_connected(n: int, adjacency) -> None:
+    """Raise DisconnectedError unless BFS from 0 reaches every vertex; names at most ten unreachable ones."""
     reached = {0}
     queue = deque([0])
     while queue:
@@ -85,8 +94,9 @@ def _check_connected(n: int, adjacency) -> None:
                 reached.add(w)
                 queue.append(w)
     if len(reached) != n:
-        missing = sorted(set(range(n)) - reached)
-        raise DisconnectedError(f"graph is disconnected; unreachable from 0: {missing}")
+        first = list(islice((v for v in range(n) if v not in reached), 10))
+        raise DisconnectedError(f"graph is disconnected; {n - len(reached)} vertices unreachable from 0, "
+                                f"the first {len(first)}: {first}")
 
 
 @dataclass(frozen=True)
@@ -188,24 +198,25 @@ def _vertex_orbits(dm: DistanceMatrix, twin_masks, fixed: int = -1) -> tuple[int
     """Orbits of a subgroup of Aut(g) that fixes the vertex fixed (-1: none), for the graph g of dm.
 
     Returns one bitmask per vertex, the orbit that holds it.  twin_masks are
-    g's twin classes as bitmasks; swapping two twins is an automorphism, so
-    each class, fixed split off, starts as one orbit, and the searches map
-    only its lowest vertex, its representative.  Twins keep every distance
-    to the other vertices, and two twins lie at distance 1 (adjacent) or 2
-    (not), so a map of the representatives that keeps their distances and
-    sends each class to one of equal size and kind extends, class by class,
-    to a permutation that keeps every distance; every automorphism that
-    fixes fixed gives such a map.  Representatives are coloured by their
-    distance-row sum, their distance to the fixed vertex, and their class's
-    size and kind, which every such automorphism keeps.  Within a colour,
-    each representative not yet joined to an earlier orbit is the target of
-    a search from each earlier orbit's first vertex: a backtracking search
-    for a map of the representatives that keeps their distances and
-    colours, maps that first vertex to the target and fixes the fixed
-    vertex.  A permutation that keeps every distance keeps every edge, so
-    each map found is an automorphism's, and its cycles are joined.  All
-    the searches share _ORBIT_SEARCH_NODES extension steps; past the bound
-    the orbits found by then are finer, and still exact.
+    g's twin classes as bitmasks, such as each vertex's own class (a class
+    may repeat, and a one-vertex class changes nothing); swapping two twins
+    is an automorphism, so each class, fixed split off, starts as one orbit,
+    and the searches map only its lowest vertex, its representative.  Twins
+    keep every distance to the other vertices, and two twins lie at distance
+    1 (adjacent) or 2 (not), so a map of the representatives that keeps
+    their distances and sends each class to one of equal size and kind
+    extends, class by class, to a permutation that keeps every distance;
+    every automorphism that fixes fixed gives such a map.  Representatives
+    are coloured by their distance-row sum, their distance to the fixed
+    vertex, and their class's size and kind, which every such automorphism
+    keeps.  Within a colour, each representative not yet joined to an
+    earlier orbit is the target of a search from each earlier orbit's first
+    vertex: a backtracking search for a map of the representatives that
+    keeps their distances and colours, maps that first vertex to the target
+    and fixes the fixed vertex.  A permutation that keeps every distance
+    keeps every edge, so each map found is an automorphism's, and its cycles
+    are joined.  All the searches share _ORBIT_SEARCH_NODES extension steps;
+    past the bound the orbits found by then are finer, and still exact.
     """
     n = dm.n
     dist = dm.dist

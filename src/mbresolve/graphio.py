@@ -2,8 +2,10 @@
 
 Plain text: '#' starts a comment, the first data line is "n <N>", each
 following data line is an edge "<u> <v>" with 0-based ids.  The directive
-comment "# label <id> <text>" carries an optional vertex label so the text
-format round-trips completely.
+comment "# label <id> <text>" carries an optional vertex label, so the text
+format round-trips every label that is one line of text, not empty and
+without leading or trailing whitespace; dumps_text refuses any other label,
+which only the JSON format carries.
 
 Structured: a JSON object {"n": ..., "edges": [[u, v], ...], "labels": [...]}
 (labels optional).  Loading auto-detects the format from the first
@@ -88,15 +90,22 @@ def _loads_text(text: str) -> Graph:
         raise GraphParseError('missing "n <count>" line')
     label_list = None
     if labels:
-        if set(labels) - set(range(n)):
-            raise GraphParseError(f"label ids outside 0..{n - 1}: {sorted(set(labels) - set(range(n)))}")
-        label_list = [labels.get(i, f"v{i}") for i in range(n)]
+        outside = sorted(i for i in labels if i >= n)
+        if outside:
+            raise GraphParseError(f"label ids outside 0..{n - 1}: {outside}")
+        # a generator: build_graph reads it only once the edges connect all n vertices
+        label_list = (labels.get(i, f"v{i}") for i in range(n))
     return build_graph(n, edges, labels=label_list)
 
 
 def dumps_text(g: Graph, header_comments: list[str] | None = None) -> str:
+    """The text format of g; a label it cannot carry (see the module docstring) raises MBResolveError."""
     lines = [f"# {c}" for c in (header_comments or [])]
     if g.labels is not None:
+        for i, lab in enumerate(g.labels):
+            if not lab or lab != lab.strip() or len(lab.splitlines()) > 1:
+                raise MBResolveError(f"vertex {i}'s label {lab!r} is empty, padded or not one line: "
+                                     "the text format cannot carry it; use JSON")
         lines += [f"# label {i} {lab}" for i, lab in enumerate(g.labels)]
     lines.append(f"n {g.n}")
     lines += [f"{u} {v}" for u, v in sorted(g.edges)]

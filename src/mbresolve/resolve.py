@@ -66,6 +66,13 @@ def _require_in_range(n: int, vertices: Iterable[int], what: str) -> None:
         raise VertexRangeError(f"{what} outside 0..{n - 1}: {outside}")
 
 
+def _require_size_cap(n: int, size_cap: int | None) -> None:
+    """Raise SizeCapError for a graph of order n above size_cap (None: DEFAULT_SIZE_CAP)."""
+    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
+    if n > cap:
+        raise SizeCapError(n, cap)
+
+
 @lru_cache(maxsize=256)
 def _pair_table(dm: DistanceMatrix, k: int) -> Mapping[tuple[int, int], int]:
     """R_k{x,y} as a bitmask for every pair x < y, in lexicographic pair order (read-only).
@@ -187,9 +194,7 @@ def metric_dimension_k(dm: DistanceMatrix, k: int, *, size_cap: int | None = Non
     Counts up from the twin lower bound and returns the first size at which
     _least_hitting_set finds a set.
     """
-    cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
-    if dm.n > cap:
-        raise SizeCapError(dm.n, cap)
+    _require_size_cap(dm.n, size_cap)
     masks = minimal_pair_masks(dm, k)
     # a resolving set holds all but one vertex of each twin class
     for size in range(sum(len(cls) - 1 for cls in _twin_classes(masks)), dm.n):

@@ -226,8 +226,8 @@ _closed_form(
 )
 _closed_form(
     "wheels.closed-form",
-    "wheel outcomes for rim orders 3..9: B on the 3-wheel; M for rim orders 4..8; the 9-rim wheel "
-    "within {M, N}, value recorded",
+    "wheel outcomes for rim orders 3..9: B on the 3-wheel; M for rim orders 4..6; from rim order 7 "
+    "the rim cycle's level-1 outcome, M up to rim order 9",
     (FamilySpec.make("wheel", n=n) for n in range(3, 10)),
 )
 _closed_form("realizations.thm_a", "subdivided star, alpha=3: outcome M at every level",

@@ -274,6 +274,15 @@ class TestLimitFlags:
         code, _ = run(capsys, "dim", "--family", "cycle", "--n", "5", "-k", "1", "--max-n", "4")
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["solve", "dim"])
+    def test_size_cap_refused_before_distances(self, command, capsys, monkeypatch):
+        def no_distances(g):
+            raise AssertionError("distances computed for a graph above the size cap")
+
+        monkeypatch.setattr("mbresolve.cli.all_pairs_distances", no_distances)
+        assert main([command, "--family", "path", "--n", "19", "-k", "1"]) == 3
+        assert "graph order 19 exceeds the size cap 18" in capsys.readouterr().err
+
 
 class TestBadInput:
     @pytest.mark.parametrize("argv, message", [

@@ -123,7 +123,10 @@ class TestPredictors:
         for n in range(4, 9):
             assert predict_outcome(FamilySpec.make("wheel", n=n), 1) == {M}
         assert predict_outcome(FamilySpec.make("wheel", n=10), 1) == {M}
-        assert predict_outcome(FamilySpec.make("wheel", n=9), 1) == {M, N}
+        # from rim 7 the rim cycle's level-1 closed form: exact through C9, the bound {M, N} above it
+        assert predict_outcome(FamilySpec.make("wheel", n=9), 1) == {M}
+        for n in (11, 13):
+            assert predict_outcome(FamilySpec.make("wheel", n=n), 1) == {M, N}
 
     def test_realization_steps(self):
         # the paper's values, pinned apart from the predictors that verify-paper

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from mbresolve import graphio
-from mbresolve.errors import DisconnectedError, GraphParseError
+from mbresolve.errors import DisconnectedError, GraphParseError, MBResolveError
 from mbresolve.families import FamilySpec, gen_family
 from mbresolve.graph import build_graph
 
@@ -74,6 +76,32 @@ class TestTextFormat:
     def test_semantic_errors_propagate(self):
         with pytest.raises(DisconnectedError):
             graphio.loads("n 4\n0 1\n2 3\n")
+
+    @pytest.mark.parametrize("labels", [["", "b"], [" a", "b "], ["a\nb", "c"]], ids=["empty", "padded", "two-lines"])
+    def test_label_the_format_cannot_carry_refused(self, labels):
+        g = build_graph(2, [(0, 1)], labels=labels)
+        assert graphio.loads(graphio.dumps_json(g)).labels == g.labels
+        with pytest.raises(MBResolveError, match="vertex 0's label"):
+            graphio.dumps_text(g)
+
+    def test_inner_whitespace_in_a_label_round_trips(self):
+        g = build_graph(2, [(0, 1)], labels=["a  b", "c\td"])
+        assert graphio.loads(graphio.dumps_text(g)).labels == g.labels
+
+    @pytest.mark.parametrize("text", ['{"n": 1000000, "edges": []}', "n 1000000\n0 1\n", "# label 0 a\nn 1000000\n"],
+                             ids=["json", "text", "text-labeled"])
+    def test_short_edge_list_refused_before_allocating(self, text):
+        # fewer than n - 1 edges cannot connect n vertices: no per-vertex structure is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedError) as exc:
+                graphio.loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        message = str(exc.value)
+        assert len(message) < 200 and "unreachable" in message, message
 
 
 class TestJsonFormat:
