@@ -1,19 +1,16 @@
-"""Truncated-metric resolving sets and exhaustive Maker-Breaker resolving games."""
+"""Truncated-metric resolving sets and exhaustive Maker-Breaker resolving games.
+
+``import mbresolve`` loads only what solving needs: the ``errors``, ``graph``,
+``resolve`` and ``game`` modules.  The ``families`` module and the names taken
+from it (``gen_family``, ``connected_graph_atlas``, ``predict_outcome`` and the
+rest) load on first use, through the module ``__getattr__`` below, and resolve
+to the very objects ``mbresolve.families`` holds.  The command-line interface
+lists the family names in its help, so it still loads ``families``.
+"""
+
+from typing import TYPE_CHECKING
 
 from .errors import MBResolveError
-from .families import (
-    FamilySpec,
-    TreeProfile,
-    all_free_trees,
-    classify_tree,
-    connected_graph_atlas,
-    family_names,
-    gen_family,
-    predict_outcome,
-    predict_tree_outcome,
-    predicted_counts,
-    random_connected_graph,
-)
 from .game import (
     Certificate,
     CertificateKind,
@@ -56,4 +53,52 @@ from .resolve import (
     search_pair_system,
 )
 
+if TYPE_CHECKING:
+    from . import families
+    from .families import (
+        FamilySpec,
+        TreeProfile,
+        all_free_trees,
+        classify_tree,
+        connected_graph_atlas,
+        family_names,
+        gen_family,
+        predict_outcome,
+        predict_tree_outcome,
+        predicted_counts,
+        random_connected_graph,
+    )
+del TYPE_CHECKING  # a typing aid, not a name of this package
+
 __version__ = "0.1.0"
+
+_FAMILIES_NAMES = frozenset({
+    "FamilySpec",
+    "TreeProfile",
+    "all_free_trees",
+    "classify_tree",
+    "connected_graph_atlas",
+    "family_names",
+    "gen_family",
+    "predict_outcome",
+    "predict_tree_outcome",
+    "predicted_counts",
+    "random_connected_graph",
+})
+
+
+def __getattr__(name: str):
+    # called only for a name not yet in the module globals (PEP 562)
+    if name != "families" and name not in _FAMILIES_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not "from . import families": its fromlist check would call this hook again
+    import importlib
+
+    families = importlib.import_module(".families", __name__)
+    value = families if name == "families" else getattr(families, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _FAMILIES_NAMES | {"families"})

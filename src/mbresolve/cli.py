@@ -29,15 +29,24 @@ from . import families, game, graphio, resolve
 from .errors import FamilyParameterError, InvariantError, MBResolveError, SizeCapError
 from .graph import Graph, all_pairs_distances, twin_partition
 
+def _positive(raw: str, what: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{what} must be a positive integer, got {raw!r}")
+    return value
+
+
 def _level(raw: str) -> int:
     """A truncation level from the command line: a positive integer."""
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"truncation level must be a positive integer, got {raw!r}")
-    return k
+    return _positive(raw, "truncation level")
+
+
+def _size_cap(raw: str) -> int:
+    """A --max-n value: a positive integer, the largest graph order accepted."""
+    return _positive(raw, "size cap")
 
 
 def _level_or_all(raw: str) -> int | str:
@@ -282,7 +291,7 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_max_n_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-n", type=int, help=f"size cap: the largest graph order accepted (default {resolve.DEFAULT_SIZE_CAP})")
+    p.add_argument("--max-n", type=_size_cap, help=f"size cap: the largest graph order accepted (default {resolve.DEFAULT_SIZE_CAP})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,15 +7,12 @@ are frozen and safe to share between threads.
 
 from __future__ import annotations
 
-import logging
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
 from .errors import DisconnectedError, LoopEdgeError, VertexRangeError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,9 @@ def build_graph(n: int, edges, labels=None) -> Graph:
         else:
             seen[key] = None
     if duplicates:
-        log.warning("dropped %d duplicate edge(s)", duplicates)
+        import logging  # here, not at module level: solving never needs it, and it costs start-up time
+
+        logging.getLogger(__name__).warning("dropped %d duplicate edge(s)", duplicates)
     # too few edges: sets for the vertices they touch are enough to name the unreachable ones
     adjacency = [set() for _ in range(n)] if len(seen) >= n - 1 else defaultdict(set)
     for u, v in seen:

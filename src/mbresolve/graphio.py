@@ -5,11 +5,11 @@ following data line is an edge "<u> <v>" with 0-based ids.  The directive
 comment "# label <id> <text>" carries an optional vertex label, so the text
 format round-trips every label that is one line of text, not empty and
 without leading or trailing whitespace; dumps_text refuses any other label,
-which only the JSON format carries.
+which only the JSON format carries.  A vertex takes at most one directive.
 
 Structured: a JSON object {"n": ..., "edges": [[u, v], ...], "labels": [...]}
-(labels optional).  Loading auto-detects the format from the first
-non-whitespace character.
+(labels optional, each a string), so JSON carries every string label.
+Loading auto-detects the format from the first non-whitespace character.
 """
 
 from __future__ import annotations
@@ -47,8 +47,12 @@ def _loads_json(text: str) -> Graph:
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
             raise GraphParseError(f"an edge must be a list of two integers, got {e!r}")
-    if labels is not None and not isinstance(labels, list):
-        raise GraphParseError(f'"labels" must be a list, got {labels!r}')
+    if labels is not None:
+        if not isinstance(labels, list):
+            raise GraphParseError(f'"labels" must be a list, got {labels!r}')
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise GraphParseError(f'"labels" must hold strings, got {json.dumps(label)} at index {i}')
     return build_graph(n, [tuple(e) for e in edges], labels=labels)
 
 
@@ -71,7 +75,10 @@ def _loads_text(text: str) -> Graph:
                 parts = body.split(maxsplit=2)
                 if len(parts) != 3 or not parts[1].isdecimal():
                     raise GraphParseError(f"malformed label directive: {line!r}", line=lineno)
-                labels[int(parts[1])] = parts[2]
+                vertex = int(parts[1])
+                if vertex in labels:
+                    raise GraphParseError(f"a second label directive for vertex {vertex}: {line!r}", line=lineno)
+                labels[vertex] = parts[2]
             continue
         fields = line.split()
         if n is None:

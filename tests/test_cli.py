@@ -295,6 +295,8 @@ class TestBadInput:
         (["solve", "--family", "path", "--n", "5", "-k", "x"], "positive integer or \"all\", got 'x'"),
         (["dim", "--family", "path", "--n", "5", "-k", "0"], "positive integer, got '0'"),
         (["check", "--family", "path", "--n", "5", "-k", "0", "--set", "1"], "positive integer, got '0'"),
+        (["solve", "--family", "path", "--n", "5", "-k", "1", "--max-n", "-3"], "size cap must be a positive integer, got '-3'"),
+        (["dim", "--family", "path", "--n", "5", "-k", "1", "--max-n", "0"], "size cap must be a positive integer, got '0'"),
         (["solve", "--family", "cycle", "--n", "6", "-k", "1", "--game", "m", "--counts"], "--counts needs --game both"),
         (["solve", "--family", "cycle", "--n", "6", "-k", "1", "--game", "b", "--counts"], "--counts needs --game both"),
         (["check", "--family", "cycle", "--n", "6", "-k", "1", "--set", "0,1", "--pairs", "0-3,1-4,2-5"],
@@ -308,7 +310,8 @@ class TestBadInput:
         (["check", "--family", "cycle", "--n", "6", "--twins", "--gaps"], "--gaps checks the landmarks of --set"),
         (["check", "--family", "cycle", "--n", "6", "-k", "1", "--pairs", ""], "pair system needs at least one pair"),
     ], ids=["set-negative", "set-too-large", "gaps-set-too-large", "gaps-set-empty", "pairs-too-large",
-            "solve-k-zero", "solve-k-word", "dim-k-zero", "check-k-zero", "counts-m-game", "counts-b-game",
+            "solve-k-zero", "solve-k-word", "dim-k-zero", "check-k-zero", "solve-max-n-negative", "dim-max-n-zero",
+            "counts-m-game", "counts-b-game",
             "set-and-pairs", "twins-and-set", "pairs-and-twins", "gaps-with-pairs", "gaps-with-twins",
             "pairs-empty"])
     def test_exit_two_with_message(self, argv, message, capsys):

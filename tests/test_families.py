@@ -1,3 +1,4 @@
+import json
 import logging
 import random
 import subprocess
@@ -271,14 +272,6 @@ class TestEnumeration:
         for n, count in known.items():
             assert len(connected_graph_atlas(max_n=n, min_n=n)) == count
 
-    def test_import_does_not_load_networkx(self):
-        # only all_free_trees and connected_graph_atlas import it, when called
-        src = str(Path(mbresolve.__file__).resolve().parents[1])
-        code = (f"import sys; sys.path.insert(0, {src!r}); import mbresolve, mbresolve.cli, mbresolve.verify; "
-                "print('networkx' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "False"
-
     def test_random_connected_graph_deterministic(self):
         a = random_connected_graph(7, 0.4, random.Random(99))
         b = random_connected_graph(7, 0.4, random.Random(99))
@@ -292,6 +285,53 @@ class TestEnumeration:
             g = random_connected_graph(12, 0.01, random.Random(4))
         assert caplog.records == []
         assert g.edge_count == 12
+
+
+FAMILIES_NAMES = ["FamilySpec", "TreeProfile", "all_free_trees", "classify_tree", "connected_graph_atlas",
+                  "family_names", "gen_family", "predict_outcome", "predict_tree_outcome", "predicted_counts",
+                  "random_connected_graph"]
+
+
+def fresh_process(code: str):
+    """Run code in a new interpreter that imports this checkout's mbresolve; return what it prints as JSON."""
+    src = str(Path(mbresolve.__file__).resolve().parents[1])
+    # -I -S: no site hooks and no environment, so every module loaded is one the code asked for
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", f"import json, sys\nsys.path.insert(0, {src!r})\n{code}"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestLazyImport:
+    """import mbresolve loads the solver only; families and its names load on first use."""
+
+    def test_import_loads_only_what_solving_needs(self):
+        loaded, others, networkx_after_cli = fresh_process("""
+import mbresolve
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "mbresolve")
+others = {m: m in sys.modules for m in ("logging", "networkx")}
+import mbresolve.cli, mbresolve.verify  # only all_free_trees and connected_graph_atlas import networkx, when called
+print(json.dumps([loaded, others, "networkx" in sys.modules]))
+""")
+        assert loaded == ["mbresolve", "mbresolve.errors", "mbresolve.game", "mbresolve.graph", "mbresolve.resolve"]
+        assert others == {"logging": False, "networkx": False}
+        assert not networkx_after_cli
+
+    def test_family_names_resolve_on_first_use(self):
+        listed, from_import, same = fresh_process(f"""
+names = {FAMILIES_NAMES + ["families"]!r}
+import mbresolve
+listed = [name for name in names if name in dir(mbresolve)]  # before any name is resolved
+from mbresolve import gen_family
+families = sys.modules["mbresolve.families"]
+same = [name for name in names if getattr(mbresolve, name) is getattr(families, name, families)]  # "families": the module
+print(json.dumps([listed, gen_family is families.gen_family, same]))
+""")
+        assert listed == FAMILIES_NAMES + ["families"]
+        assert from_import
+        assert same == FAMILIES_NAMES + ["families"]
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mbresolve.no_such_name
 
 
 class TestPinnedConstructions:

@@ -65,6 +65,11 @@ class TestTextFormat:
         with pytest.raises(GraphParseError):
             graphio.loads("# label x hub\nn 2\n0 1\n")
 
+    def test_repeated_label_directive_refused(self):
+        with pytest.raises(GraphParseError, match="second label directive for vertex 0") as exc:
+            graphio.loads("# label 0 a\n# label 0 b\nn 2\n0 1\n")
+        assert exc.value.line == 2
+
     @pytest.mark.parametrize("text", [
         "n \u00b2\n0 1\n",  # "²" is a digit to str.isdigit, but int() rejects it
         "# label \u00b2 hub\nn 2\n0 1\n",
@@ -125,7 +130,13 @@ class TestJsonFormat:
         '{"n": 2, "edges": [[0, true]]}',
         '{"n": 3, "edges": [[0, 1, 2]]}',
         '{"n": 2, "edges": {"0": 1}}',
-    ], ids=["n-float", "n-string", "n-bool", "labels-string", "endpoint-bool", "edge-triple", "edges-object"])
+        '{"n": 2, "edges": [[0, 1]], "labels": [null, 7]}',
+    ], ids=["n-float", "n-string", "n-bool", "labels-string", "endpoint-bool", "edge-triple", "edges-object",
+            "label-null"])
     def test_malformed_fields_rejected(self, text):
         with pytest.raises(GraphParseError):
             graphio.loads(text)
+
+    def test_non_string_label_named_by_index(self):
+        with pytest.raises(GraphParseError, match="got 7 at index 2"):
+            graphio.loads('{"n": 3, "edges": [[0, 1], [1, 2]], "labels": ["a", "b", 7]}')
