@@ -67,9 +67,22 @@ exact reductions are always on; each leaves every node's value unchanged:
   distinct parts of two vertices and fires when two of them meet; equal
   parts are one part, and disjoint ones no fork.  It runs before the
   pairing cutoff, which a fork leaves no cover: the two parts would need
-  overlapping pairs.  Under a cap on Breaker she needs two claims, and the
-  claim-horizon cutoff has already returned when she has fewer than
-  min_free = 2 left; under a cap on Maker a Breaker win is a Maker loss.
+  overlapping pairs.  With Maker to move and no threat, Breaker has won
+  when every claim of his leaves her a fork, the first rung of the
+  threat-space search of Allis, van den Herik and Huntjens (Comput.
+  Intell. 12(1), 1996).  This is exact: a Maker claim removes the parts
+  it hits and frees no vertex, so each live claim leads to a Breaker-to-
+  move child with no threat whose distinct parts of two vertices are the
+  node's minus those that hold his vertex, and the fork test there is
+  exact; a claim outside the free parts is a pass, which the search never
+  makes.  A claim that leaves no fork hits both pairs of every cherry (two
+  distinct parts of two vertices that share a vertex), so only the three
+  vertices of one cherry are tried; with two pairs the shared vertex
+  always breaks the fork.  Under a cap on Breaker she needs two claims for
+  either test, and the claim-horizon cutoff has already returned when she
+  has fewer than min_free = 2 left; Maker's claim leaves her count as it
+  is.  Under a cap on Maker a Breaker win is a Maker loss.  Both sides
+  read one set of distinct two-vertex parts, built once per node.
   A double threat is not tested for: without a fork at most one distinct
   part of two vertices holds Breaker's vertex, so the search meets one
   only at an entry position, where Maker's one forced move loses.
@@ -274,6 +287,40 @@ class SolverStats:
     orbit_searches: int = 0
 
 
+def _clash(pairs: set[int], claim: int) -> int:
+    """The first of pairs that misses claim and shares a vertex with an earlier one that misses it; 0 if none does."""
+    met = 0
+    for pair in pairs:
+        if not pair & claim:
+            if pair & met:
+                return pair
+            met |= pair
+    return 0
+
+
+def _forked(pairs: set[int], maker_to_move: bool) -> bool:
+    """Has Breaker won by a fork?  pairs are the distinct two-vertex free parts of a node with no threat.
+
+    Breaker to move: two pairs share a vertex.  Maker to move: every Maker
+    claim leaves two pairs that share a vertex.  A claim that leaves none
+    must hit both pairs of a cherry (two pairs that share a vertex), so only
+    the three vertices of one cherry are tried.  The module docstring gives
+    the argument and the caps under which the node may ask.
+    """
+    pair = _clash(pairs, 0)
+    if not pair or not maker_to_move:
+        return pair != 0
+    if len(pairs) < 3:
+        return False  # Maker claims the vertex both pairs share
+    cherry = pair | next(other for other in pairs if other & pair and other != pair)
+    while cherry:
+        claim = cherry & -cherry
+        if not _clash(pairs, claim):
+            return False  # this claim leaves disjoint pairs
+        cherry ^= claim
+    return True
+
+
 class GameSolver:
     """Solves both games on one (graph, k); reusable across winner/count queries.
 
@@ -325,12 +372,12 @@ class GameSolver:
         Maker claim passes its vertex as drop and keeps everything; a Breaker
         claim drops nothing and keeps all but her vertex; the entry call
         passes the masks themselves with drop = maker and keep = ~breaker.
-        The threats, the danger scores, the packing and the pairing cover
-        all read that list, so a node costs time in the unhit masks, not in
-        all of them.  The pairing cover is resolve._pair_cover with the
-        budget of the module docstring; at the empty board, where the free
-        parts are the masks themselves, the uncapped search is the cached
-        resolve._root_cover.
+        The threats, the forks, the danger scores, the packing and the
+        pairing cover all read that list, so a node costs time in the unhit
+        masks, not in all of them.  The pairing cover is resolve._pair_cover
+        with the budget of the module docstring; at the empty board, where
+        the free parts are the masks themselves, the uncapped search is the
+        cached resolve._root_cover.
 
         The memo maps the position key of the module docstring to the value
         of an expanded node and is probed before that loop.  That is exact:
@@ -402,12 +449,8 @@ class GameSolver:
                         if packed > left:
                             return False  # Maker cannot hit every mask within his cap
             if min_free > 1:
-                if not maker_to_move and min_free == 2:
-                    met = 0
-                    for rest in {rest for rest in parts if rest.bit_count() == 2}:
-                        if rest & met:
-                            return False  # a fork: two distinct parts of two vertices share a vertex
-                        met |= rest
+                if min_free == 2 and _forked({rest for rest in parts if rest.bit_count() == 2}, maker_to_move):
+                    return False  # Breaker forks now, or after any Maker claim
                 # pairing cutoff; the empty board's uncapped cover is computed once per mask set
                 if maker_cap is None and not maker | breaker:
                     cover = _root_cover(masks)

@@ -67,8 +67,10 @@ def _require_in_range(n: int, vertices: Iterable[int], what: str) -> None:
 
 
 def _require_size_cap(n: int, size_cap: int | None) -> None:
-    """Raise SizeCapError for a graph of order n above size_cap (None: DEFAULT_SIZE_CAP)."""
+    """Raise SizeCapError for a graph of order n above size_cap (None: DEFAULT_SIZE_CAP), ValueError for a cap below 1."""
     cap = DEFAULT_SIZE_CAP if size_cap is None else size_cap
+    if cap < 1:
+        raise ValueError(f"size cap must be a positive integer, got {size_cap!r}")
     if n > cap:
         raise SizeCapError(n, cap)
 
@@ -423,14 +425,23 @@ def search_pair_system(dm: DistanceMatrix, k: int) -> tuple[PairSystem, PairSyst
     it finds is a pairing with no classifying needed (that search is the
     cached _root_cover, shared with the solver's empty board), then once per
     candidate witness v over the masks that miss v, where it returns the
-    first cover that _classify does not call neither.  Targets are built one
-    at a time, and a target met before (a v in no mask gives all of them
-    again) is skipped: its search has failed already.
+    first cover that _classify does not call neither, with that check.
+    Targets are built one at a time, and a target met before (a v in no
+    mask gives all of them again) is skipped: its search has failed already.
     """
     masks = minimal_pair_masks(dm, k)
     pairs = _root_cover(masks) if masks else None
     if pairs is not None:
         return _pair_system(pairs), PairSystemCheck(PairSystemKind.PAIRING)
+    accepted = []  # the check of the one cover accept takes
+
+    def accept(cover: tuple[int, ...]) -> bool:
+        check = _classify(masks, cover)
+        if check.kind is PairSystemKind.NEITHER:
+            return False
+        accepted.append(check)
+        return True
+
     searched = {masks}
     for v in range(dm.n):
         target = tuple(m for m in masks if not m >> v & 1)
@@ -438,9 +449,9 @@ def search_pair_system(dm: DistanceMatrix, k: int) -> tuple[PairSystem, PairSyst
         if not target or target in searched:
             continue
         searched.add(target)
-        pairs = _pair_cover(target, MAX_PAIR_SYSTEM, lambda cover: _classify(masks, cover).kind is not PairSystemKind.NEITHER)
+        pairs = _pair_cover(target, MAX_PAIR_SYSTEM, accept)
         if pairs is not None:
-            return _pair_system(pairs), _classify(masks, pairs)
+            return _pair_system(pairs), accepted[0]
     return None
 
 

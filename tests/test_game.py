@@ -136,6 +136,13 @@ class TestOutcome:
         with pytest.raises(SizeCapError):
             outcome(g, dm, 1, size_cap=7)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_size_cap_below_one_rejected(self, cap):
+        # a cap below 1 is a bad argument, not an oversize graph
+        g, dm = family("path", n=3)
+        with pytest.raises(ValueError, match=f"size cap must be a positive integer, got {cap}"):
+            GameSolver(g, dm, 1, size_cap=cap)
+
     def test_distance_matrix_of_another_order_rejected(self):
         # memo keys are packed by graph.n and masks read from dm: this M graph
         # of order 9 read as order 2 gave N with no error
@@ -176,13 +183,13 @@ class TestOutcome:
         assert solver.stats.nodes == 0
         # exact counts: a change to any of them is a change to the search, to
         # be measured and recorded, not absorbed by a loose bound
-        for n, symbol, nodes in ((13, OutcomeSymbol.M, 156), (15, OutcomeSymbol.N, 123), (17, OutcomeSymbol.M, 2_164)):
+        for n, symbol, nodes in ((13, OutcomeSymbol.M, 153), (15, OutcomeSymbol.N, 107), (17, OutcomeSymbol.M, 2_090)):
             g, dm = family("cycle", n=n)
             solver = GameSolver(g, dm, 1)
             assert solver.outcome().symbol is symbol
             assert solver.stats.nodes == nodes, n
         # the count searches of the benchmark's slowest counts items, C12, thm_f(alpha=4) and thm_d, and of Petersen
-        rows = (("cycle", {"n": 12}, 1, 80), ("thm_f", {"alpha": 4}, 4, 111), ("thm_d", {}, 4, 35),
+        rows = (("cycle", {"n": 12}, 1, 76), ("thm_f", {"alpha": 4}, 4, 106), ("thm_d", {}, 4, 34),
                 ("petersen", {}, 2, 79))
         for name, kw, searches, nodes in rows:
             g, dm = family(name, **kw)
@@ -196,7 +203,7 @@ class TestOutcome:
         assert (solver.stats.count_searches, solver.stats.count_nodes) == (2, 27_208)
 
     def test_memo_hits_counted(self):
-        # C13 still searches (156 nodes); the pairing cutoff settles C12 at the root
+        # C13 still searches (153 nodes); the pairing cutoff settles C12 at the root
         g, dm = family("cycle", n=13)
         solver = GameSolver(g, dm, 1)
         solver.outcome()
@@ -289,8 +296,9 @@ class TestOutcome:
             if solver.stats.orbit_searches:
                 searched.add(name)
         # K(2,2,2)'s masks are its three twin pairs: a cutoff settles each node
-        # but the B-game's after one Breaker claim, whose one move is the threat
-        assert searched == {"C7", "C8", "K(3,3)", "C4xK2"}
+        # but the B-game's after one Breaker claim, whose one move is the threat;
+        # K(3,3)'s are the pairs inside each side, a fork after every claim
+        assert searched == {"C7", "C8", "C4xK2"}
 
     def test_one_memo_serves_both_games(self):
         # an M-game and a B-game position never share claim counts and side to
@@ -399,20 +407,36 @@ class TestCappedSearch:
 def _smallest_parts_shape(parts: list[int], maker_to_move: bool) -> str | None:
     """How the least free parts of a position meet: a fork or a double threat, which Breaker wins, or a near miss.
 
-    Maker to move: "double threat" (two distinct one-vertex parts) or "one threat twice".
+    Maker to move: "double threat" (two distinct one-vertex parts) or "one threat twice";
+    with no threat, "unstoppable fork" (each claim leaves two distinct two-vertex parts
+    that share a vertex) or "breakable fork" (two such parts now, and some claim leaves none).
     Breaker to move with no threat: "fork" (two distinct two-vertex parts that share a
     vertex), else "equal pairs" (a two-vertex part twice) or "disjoint pairs".
     """
     singles = [p for p in parts if p.bit_count() == 1]
+    pairs = [p for p in parts if p.bit_count() == 2]
+    distinct = set(pairs)
+
+    def forked(claim: int) -> bool:
+        rest = [p for p in distinct if not p & claim]
+        return any(a & b for a in rest for b in rest if a != b)
+
     if maker_to_move:
         if len(set(singles)) > 1:
             return "double threat"
-        return "one threat twice" if len(singles) > 1 else None
-    pairs = [p for p in parts if p.bit_count() == 2]
+        if singles:
+            return "one threat twice" if len(singles) > 1 else None
+        if not forked(0):
+            return None
+        union = 0
+        for p in distinct:
+            union |= p
+        # a claim outside every pair leaves the fork as it is
+        unstoppable = all(forked(1 << v) for v in range(union.bit_length()) if union >> v & 1)
+        return "unstoppable fork" if unstoppable else "breakable fork"
     if singles or len(pairs) < 2:
         return None
-    distinct = set(pairs)
-    if any(a & b for a in distinct for b in distinct if a != b):
+    if forked(0):
         return "fork"
     return "equal pairs" if len(distinct) < len(pairs) else "disjoint pairs"
 
@@ -453,14 +477,31 @@ class TestForkCutoff:
                     want = naive_wins_within(dm, k, maker, breaker, maker_to_move, cap, cap_maker)
                     assert got == want, (sorted(g.edges), k, sorted(maker), sorted(breaker), maker_to_move, cap, cap_maker)
                     seen.add((shape, label, want))
-        # Breaker wins a fork or a double threat with 2 claims left, and with 1 left
-        # a fork is beyond her; Maker wins some positions that nearly hold one
+        # Breaker wins a fork, an unstoppable fork or a double threat with 2 claims
+        # left, and with 1 left either fork is beyond her; Maker wins some positions
+        # that nearly hold one, a breakable fork among them
         assert {
             ("fork", "uncapped", False), ("fork", "Breaker, 2 left", False), ("fork", "Breaker, 1 left", True),
-            ("fork", "Maker", False), ("double threat", "uncapped", False), ("double threat", "Breaker, 1 left", False),
+            ("fork", "Maker", False), ("unstoppable fork", "uncapped", False),
+            ("unstoppable fork", "Breaker, 2 left", False), ("unstoppable fork", "Breaker, 1 left", True),
+            ("unstoppable fork", "Maker", False), ("breakable fork", "uncapped", True),
+            ("breakable fork", "Breaker, 2 left", True), ("breakable fork", "Maker", True),
+            ("double threat", "uncapped", False), ("double threat", "Breaker, 1 left", False),
             ("double threat", "Breaker, 0 left", True), ("double threat", "Maker", False),
             ("equal pairs", "uncapped", True), ("disjoint pairs", "uncapped", True), ("one threat twice", "uncapped", True),
         } <= seen
+
+    @pytest.mark.parametrize("name, kw", [("multipartite", {"parts": (3, 3)}), ("star", {"beta": 4})])
+    def test_unstoppable_fork_settles_the_empty_board(self, name, kw):
+        # the masks are the pairs inside twin classes of three or more: after any
+        # Maker claim a class of three is left with two pairs that share a vertex
+        g, dm = family(name, **kw)
+        solver = GameSolver(g, dm, 1)
+        assert not solver.maker_wins(0, 0, True, True)
+        assert (solver.stats.nodes, solver.stats.orbit_searches) == (0, 0)
+        solver = GameSolver(g, dm, 1)
+        assert solver.move_counts() == MoveCounts(brk=2, bprime_rk=2)
+        assert (solver.stats.nodes, solver.stats.count_nodes) == (0, 0)
 
 
 class TestPairingCutoff:

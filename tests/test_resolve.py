@@ -228,6 +228,13 @@ class TestMetricDimension:
         with pytest.raises(SizeCapError):
             metric_dimension_k(dm, 1, size_cap=5)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_size_cap_below_one_rejected(self, cap):
+        # a cap below 1 is a bad argument, not an oversize graph
+        _, dm = family_dm("path", n=3)
+        with pytest.raises(ValueError, match=f"size cap must be a positive integer, got {cap}"):
+            metric_dimension_k(dm, 1, size_cap=cap)
+
     def test_search_leaves_nothing_to_the_cycle_collector(self):
         # the branch-and-bound recursion forms no reference cycle, so each
         # search's frames and lists go as soon as it returns
@@ -372,6 +379,24 @@ class TestPairSystems:
             assert resolve._root_cover.cache_info().misses == 1
         finally:
             gc.enable()
+
+    def test_search_classifies_each_offered_cover_once(self, monkeypatch):
+        # thm_b has a quasi-pairing and no pairing: the accepted cover's
+        # check is the one made when it was offered, not made again
+        _, dm = family_dm("thm_b", alpha=4)
+        classified, offered = [], []
+        classify, cover = resolve._classify, resolve._pair_cover
+
+        def offering(parts, left, accept=None, **kw):
+            if accept is None:
+                return cover(parts, left, **kw)
+            return cover(parts, left, lambda pairs: offered.append(pairs) or accept(pairs), **kw)
+
+        monkeypatch.setattr(resolve, "_classify", lambda masks, pairs: classified.append(pairs) or classify(masks, pairs))
+        monkeypatch.setattr(resolve, "_pair_cover", offering)
+        system, check = search_pair_system(dm, 1)
+        assert check.kind is PairSystemKind.QUASI_PAIRING
+        assert offered and classified == offered
 
     def test_search_finds_quasi_for_thm_b(self):
         _, dm = family_dm("thm_b", alpha=4)
