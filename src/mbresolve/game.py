@@ -75,10 +75,10 @@ exact reductions are always on; each leaves every node's value unchanged:
   move child with no threat whose distinct parts of two vertices are the
   node's minus those that hold his vertex, and the fork test there is
   exact; a claim outside the free parts is a pass, which the search never
-  makes.  A claim that leaves no fork hits both pairs of every cherry (two
-  distinct parts of two vertices that share a vertex), so only the three
-  vertices of one cherry are tried; with two pairs the shared vertex
-  always breaks the fork.  Under a cap on Breaker she needs two claims for
+  makes.  A claim that leaves no fork hits at least one pair of every
+  cherry (two distinct parts of two vertices that share a vertex), so it
+  is one of the cherry's three vertices, and only the three vertices of
+  one cherry are tried.  Under a cap on Breaker she needs two claims for
   either test, and the claim-horizon cutoff has already returned when she
   has fewer than min_free = 2 left; Maker's claim leaves her count as it
   is.  Under a cap on Maker a Breaker win is a Maker loss.  Both sides
@@ -302,16 +302,15 @@ def _forked(pairs: set[int], maker_to_move: bool) -> bool:
     """Has Breaker won by a fork?  pairs are the distinct two-vertex free parts of a node with no threat.
 
     Breaker to move: two pairs share a vertex.  Maker to move: every Maker
-    claim leaves two pairs that share a vertex.  A claim that leaves none
-    must hit both pairs of a cherry (two pairs that share a vertex), so only
-    the three vertices of one cherry are tried.  The module docstring gives
-    the argument and the caps under which the node may ask.
+    claim leaves two pairs that share a vertex.  A claim that leaves no
+    fork hits at least one pair of every cherry (two pairs that share a
+    vertex), so it is one of the cherry's three vertices, and only those
+    three are tried.  The module docstring gives the argument and the caps
+    under which the node may ask.
     """
     pair = _clash(pairs, 0)
     if not pair or not maker_to_move:
         return pair != 0
-    if len(pairs) < 3:
-        return False  # Maker claims the vertex both pairs share
     cherry = pair | next(other for other in pairs if other & pair and other != pair)
     while cherry:
         claim = cherry & -cherry
