@@ -212,7 +212,6 @@ def cmd_check(args) -> int:
     if args.gaps and args.set is None:
         raise MBResolveError("--gaps checks the landmarks of --set; give --set")
     g, descriptor = _load_source(args)
-    dm = all_pairs_distances(g)
     report: dict = {"graph": descriptor}
     if args.twins:
         tp = twin_partition(g)
@@ -222,7 +221,7 @@ def cmd_check(args) -> int:
         ]
     elif args.pairs is not None:
         k = _require_k(args)
-        check = resolve.check_pair_system(dm, k, _pair_list(args.pairs))
+        check = resolve.check_pair_system(all_pairs_distances(g), k, _pair_list(args.pairs))
         report["k"] = k
         report["classification"] = check.kind.value
         report["witnesses"] = list(check.witnesses)
@@ -237,7 +236,7 @@ def cmd_check(args) -> int:
         report["gap_conditions_hold"] = resolve.cycle_gap_check(profile, k)
     elif args.set is not None:
         k = _require_k(args)
-        check = resolve.is_resolving(dm, k, _vertex_list(args.set))
+        check = resolve.is_resolving(all_pairs_distances(g), k, _vertex_list(args.set))
         report["k"] = k
         report["resolving"] = check.ok
         if not check.ok:

@@ -97,9 +97,10 @@ exact reductions are always on; each leaves every node's value unchanged:
   less.  At every node the orbit is the move's twin class: swapping two
   unclaimed twins keeps distances and fixes every claim.  At a node with at
   most one claimed vertex it is the orbit from graph._vertex_orbits under
-  automorphisms that fix the claimed vertex, which holds the twin class, the
-  claimed vertex split off.  Those orbits are searched once per claim and
-  solver, and only when a refuted move leaves a move outside its twin class.
+  automorphisms that fix the claimed vertex; a twin swap is one of them, so
+  its search joins twins itself.  Those orbits are searched once per claim
+  and solver, and only when a refuted move leaves a move outside its twin
+  class.
 
 Both sides try their moves in decreasing order of danger, the sum of
 2^-|free part| over the unhit masks that hold the vertex, so a vertex in
@@ -131,7 +132,7 @@ from .resolve import (
     _require_in_range,
     _require_size_cap,
     _root_cover,
-    _twin_classes,
+    _twin_masks,
     metric_dimension_k,
     minimal_pair_masks,
     search_pair_system,
@@ -337,12 +338,7 @@ class GameSolver:
         self.k = k
         self.n = graph.n
         self.masks = minimal_pair_masks(dm, k)
-        # each vertex's twin class as a bitmask (the vertex alone when it has no twin)
-        self._twins = twins = [1 << v for v in range(self.n)]
-        for cls in _twin_classes(self.masks):
-            mask = sum([1 << v for v in cls])
-            for v in cls:
-                twins[v] = mask
+        self._twins = _twin_masks(self.masks, self.n)
         self._memo: dict[int, bool] = {}
         self.stats = SolverStats()
         # vertex orbits under the automorphisms that fix the claimed vertex,
@@ -492,7 +488,7 @@ class GameSolver:
                     orbits = orbit_memo.get(claims)
                     if orbits is None:
                         stats.orbit_searches += 1
-                        orbits = orbit_memo[claims] = _vertex_orbits(dm, twins, claims.bit_length() - 1)
+                        orbits = orbit_memo[claims] = _vertex_orbits(dm, claims.bit_length() - 1)
                 skip |= orbits[v]
             if len(memo) < limit:
                 memo[key] = result
@@ -686,18 +682,20 @@ def certificate_fast_path(graph: Graph, dm: DistanceMatrix, k: int) -> Certifica
     if dm.n != graph.n:
         raise ValueError(f"distance matrix of order {dm.n} given for a graph of order {graph.n}")
     masks = minimal_pair_masks(dm, k)
-    twin_classes = _twin_classes(masks)
+    # the twin classes of two or more vertices, by lowest vertex, each as its ascending vertex list
+    twin_classes = [[w for w in range(cls.bit_length()) if cls >> w & 1]
+                    for v, cls in enumerate(_twin_masks(masks, graph.n)) if cls & -cls == 1 << v and cls != 1 << v]
     big = [cls for cls in twin_classes if len(cls) >= 4]
     if big:
         return Certificate(
             kind=CertificateKind.FORCED_B,
-            reason=f"twin class of size {len(big[0])}: {list(big[0])}",
+            reason=f"twin class of size {len(big[0])}: {big[0]}",
         )
     threes = [cls for cls in twin_classes if len(cls) >= 3]
     if len(threes) >= 2:
         return Certificate(
             kind=CertificateKind.FORCED_B,
-            reason=f"two twin classes of size >= 3: {list(threes[0])}, {list(threes[1])}",
+            reason=f"two twin classes of size >= 3: {threes[0]}, {threes[1]}",
         )
     found = search_pair_system(dm, k)
     if found is not None:

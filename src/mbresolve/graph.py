@@ -193,29 +193,21 @@ def twin_partition(g: Graph) -> TwinPartition:
 _ORBIT_SEARCH_NODES = 2_000
 
 
-def _vertex_orbits(dm: DistanceMatrix, twin_masks, fixed: int = -1) -> tuple[int, ...]:
+def _vertex_orbits(dm: DistanceMatrix, fixed: int = -1) -> tuple[int, ...]:
     """Orbits of a subgroup of Aut(g) that fixes the vertex fixed (-1: none), for the graph g of dm.
 
-    Returns one bitmask per vertex, the orbit that holds it.  twin_masks are
-    g's twin classes as bitmasks, such as each vertex's own class (a class
-    may repeat, and a one-vertex class changes nothing); swapping two twins
-    is an automorphism, so each class, fixed split off, starts as one orbit,
-    and the searches map only its lowest vertex, its representative.  Twins
-    keep every distance to the other vertices, and two twins lie at distance
-    1 (adjacent) or 2 (not), so a map of the representatives that keeps
-    their distances and sends each class to one of equal size and kind
-    extends, class by class, to a permutation that keeps every distance;
-    every automorphism that fixes fixed gives such a map.  Representatives
-    are coloured by their distance-row sum, their distance to the fixed
-    vertex, and their class's size and kind, which every such automorphism
-    keeps.  Within a colour, each representative not yet joined to an
-    earlier orbit is the target of a search from each earlier orbit's first
-    vertex: a backtracking search for a map of the representatives that
-    keeps their distances and colours, maps that first vertex to the target
-    and fixes the fixed vertex.  A permutation that keeps every distance
-    keeps every edge, so each map found is an automorphism's, and its cycles
-    are joined.  All the searches share _ORBIT_SEARCH_NODES extension steps;
-    past the bound the orbits found by then are finer, and still exact.
+    Returns one bitmask per vertex, the orbit that holds it.  Vertices are
+    coloured by their distance-row sum and their distance to the fixed
+    vertex, which every automorphism that fixes it keeps.  Within a colour,
+    each vertex not yet joined to an earlier orbit is the target of a search
+    from each earlier orbit's first vertex: a backtracking search for a
+    permutation that keeps every distance and colour, maps that first
+    vertex to the target and fixes the fixed vertex.  A permutation that
+    keeps every distance keeps every edge, so each map found is an
+    automorphism's, and its cycles are joined.  Swapping two twins keeps
+    every distance, so twins are joined like any other orbit.  All the
+    searches share _ORBIT_SEARCH_NODES extension steps; past the bound the
+    orbits found by then are finer, and still exact.
     """
     n = dm.n
     dist = dm.dist
@@ -227,31 +219,17 @@ def _vertex_orbits(dm: DistanceMatrix, twin_masks, fixed: int = -1) -> tuple[int
             v = parent[v]
         return v
 
-    split = 1 << fixed if fixed >= 0 else 0
-    reps = (1 << n) - 1  # each twin class's lowest vertex, fixed split off
-    kind = [(1, 0)] * n  # a representative's class size and the distance between two of its vertices
-    for twins in twin_masks:
-        twins &= ~split
-        first = (twins & -twins).bit_length() - 1
-        others = twins & (twins - 1)
-        reps &= ~others
-        if others:
-            kind[first] = (twins.bit_count(), dist[first][(others & -others).bit_length() - 1])
-        for v in range(first + 1, twins.bit_length()):
-            if twins >> v & 1:
-                parent[v] = first
-    rep_list = [v for v in range(n) if reps >> v & 1]
-    keys = {v: (sum(dist[v]), dist[v][fixed] if fixed >= 0 else 0, kind[v]) for v in rep_list}
+    keys = [(sum(row), row[fixed] if fixed >= 0 else 0) for row in dist]
     colours: dict[tuple, int] = {}
-    for v, key in keys.items():
+    for v, key in enumerate(keys):
         colours[key] = colours.get(key, 0) | 1 << v
-    colour_of = {v: colours[key] for v, key in keys.items()}
-    at = {}  # at[v][d]: the representatives at distance d from the representative v
-    for v in rep_list:
-        row = dist[v]
-        at[v] = by_distance = [0] * (dm.diameter + 1)
-        for w in rep_list:
-            by_distance[row[w]] |= 1 << w
+    colour_of = [colours[key] for key in keys]
+    at = []  # at[v][d]: the vertices at distance d from v
+    for row in dist:
+        by_distance = [0] * (dm.diameter + 1)
+        for w, d in enumerate(row):
+            by_distance[d] |= 1 << w
+        at.append(by_distance)
     steps = [_ORBIT_SEARCH_NODES]
     image = list(range(n))  # the fixed vertex keeps its own image
     for colour in colours.values():
@@ -263,9 +241,9 @@ def _vertex_orbits(dm: DistanceMatrix, twin_masks, fixed: int = -1) -> tuple[int
             if any(find(first) == find(v) for first in firsts):
                 continue
             for first in firsts:
-                open_images = {x: colour_of[x] for x in rep_list if x != first and x != fixed}
+                open_images = {x: colour_of[x] for x in range(n) if x != first and x != fixed}
                 if _extend(dist, at, image, steps, first, v, open_images):
-                    for x in rep_list:
+                    for x in range(n):
                         parent[find(x)] = find(image[x])
                     break
             else:

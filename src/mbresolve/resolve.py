@@ -21,9 +21,9 @@ into the equal-distance set.  One pair is then one big-int expression.
 
 Four caches hold what several layers ask of one (dm, k) or one mask set, so
 it is worked out once: _pair_table and minimal_pair_masks per (dm, k), and
-per mask set _twin_classes and _root_cover, the empty board's pair cover
-that the game solver and search_pair_system share.  Each is an lru_cache of
-at most 256 entries.
+per mask set _twin_masks, each vertex's twin class, and _root_cover, the
+empty board's pair cover that the game solver and search_pair_system
+share.  Each is an lru_cache of at most 256 entries.
 
 Pair systems are classified on bitmasks by one routine, _classify, which
 check_pair_system calls after validating its input and search_pair_system
@@ -161,28 +161,21 @@ def minimal_pair_masks(dm: DistanceMatrix, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _twin_classes(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Twin classes of two or more vertices, each ascending, ordered by lowest vertex.
+def _twin_masks(masks: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Each vertex's twin class as a bitmask, the vertex alone when it has no twin.
 
     At every level the 2-masks are exactly the twin pairs: R_k{u,w} always
     holds u and w; it holds no other vertex when u and w are twins, whose
     swap keeps every other vertex's distances, and otherwise it holds a
-    vertex adjacent to just one of them.  So each class is its lowest
-    vertex's 2-masks joined, and a vertex is lowest when no 2-mask has it as
-    the higher vertex.
+    vertex adjacent to just one of them.  So a vertex's class is the OR of
+    the 2-masks that hold it.
     """
-    twin_pairs = [m for m in masks if m.bit_count() == 2]
-    above_least = 0
-    for m in twin_pairs:
-        above_least |= m & (m - 1)
-    classes: dict[int, int] = {}
-    for m in twin_pairs:
-        low = m & -m
-        if not low & above_least:
-            classes[low] = classes.get(low, 0) | m
-    return tuple(
-        tuple(v for v in range(cls.bit_length()) if cls >> v & 1) for _, cls in sorted(classes.items())
-    )
+    twins = [1 << v for v in range(n)]
+    for m in masks:
+        if m.bit_count() == 2:
+            twins[m.bit_length() - 1] |= m
+            twins[(m & -m).bit_length() - 1] |= m
+    return tuple(twins)
 
 
 class DimResult(NamedTuple):
@@ -199,7 +192,7 @@ def metric_dimension_k(dm: DistanceMatrix, k: int, *, size_cap: int | None = Non
     _require_size_cap(dm.n, size_cap)
     masks = minimal_pair_masks(dm, k)
     # a resolving set holds all but one vertex of each twin class
-    for size in range(sum(len(cls) - 1 for cls in _twin_classes(masks)), dm.n):
+    for size in range(dm.n - len(set(_twin_masks(masks, dm.n))), dm.n):
         witness = _least_hitting_set(masks, size)
         if witness is not None:
             return DimResult(size, witness)

@@ -165,6 +165,16 @@ class TestCheck:
         assert report["gaps"] == [1, 2]
         assert report["gap_conditions_hold"] is True
 
+    @pytest.mark.parametrize("mode", [["--twins"], ["-k", "1", "--set", "0,2", "--gaps"]], ids=["twins", "gaps"])
+    def test_twin_and_gap_modes_compute_no_distances(self, mode, capsys, monkeypatch):
+        # neither mode reads the n^2 distance table, so a large cycle costs no more than its edges
+        def refuse(g):
+            raise AssertionError("distances computed")
+
+        monkeypatch.setattr("mbresolve.cli.all_pairs_distances", refuse)
+        code, _ = run(capsys, "check", "--family", "cycle", "--n", "5", *mode)
+        assert code == 0
+
     @pytest.mark.parametrize("source", [
         ["--family", "path", "--n", "9"],
         ["--family", "petersen"],

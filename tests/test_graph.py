@@ -164,18 +164,26 @@ class TestTwinPartition:
                 assert swapped == g.edges
 
 
-def twin_masks(g):
-    return [sum(1 << v for v in cls) for cls in twin_partition(g).classes_of_size(2)]
-
-
 def cayley_graph(m, steps):
     """The Cayley graph of Z_m x Z_m whose edges join vertices that differ by one of the given steps."""
     return build_graph(m * m, [(a, b) for a, b in itertools.combinations(range(m * m), 2)
                                if ((b // m - a // m) % m, (b % m - a % m) % m) in steps])
 
 
+# vertex-transitive graphs of order 18 made of twin classes: nine false-twin
+# pairs, one true-twin class of 18, and the 3x3 rook's graph with every vertex
+# doubled into a false-twin pair (vertex 2c + i is copy i of cell c)
+TWIN_HEAVY = [
+    ("K(2,2,2,2,2,2,2,2,2)", gen_family(FamilySpec.make("multipartite", parts=(2,) * 9))),
+    ("K18", gen_family(FamilySpec.make("complete", n=18))),
+    ("doubled 3x3 rook's graph", build_graph(18, [
+        (2 * c + i, 2 * d + j) for c, d in itertools.combinations(range(9), 2)
+        if c // 3 == d // 3 or c % 3 == d % 3 for i in (0, 1) for j in (0, 1)])),
+]
+
+
 def orbit_sets(g, fixed=-1):
-    orbits = _vertex_orbits(all_pairs_distances(g), twin_masks(g), fixed)
+    orbits = _vertex_orbits(all_pairs_distances(g), fixed)
     return tuple(frozenset(w for w in range(g.n) if orbits[v] >> w & 1) for v in range(g.n))
 
 
@@ -214,6 +222,14 @@ class TestVertexOrbits:
         ("4x4 rook's graph", cayley_graph(4, {(0, d) for d in (1, 2, 3)} | {(d, 0) for d in (1, 2, 3)})),
         # points 0-6 and lines 7-13 of the Fano plane, point i on line j iff i - j is 0, 1 or 3 mod 7
         ("Heawood", build_graph(14, [(i, 7 + j) for i in range(7) for j in range(7) if (i - j) % 7 in {0, 1, 3}])),
+        *TWIN_HEAVY,
     ])
     def test_vertex_transitive_graphs_have_one_orbit(self, name, g):
+        assert set(orbit_sets(g)) == {frozenset(range(g.n))}, name
+
+    @pytest.mark.parametrize("name, g", TWIN_HEAVY)
+    def test_twin_heavy_graphs_stay_far_below_the_search_bound(self, name, g, monkeypatch):
+        # the search joins twins itself, one search per vertex it joins at
+        # worst: K18 takes the most, 17 searches of 18 extension steps (306)
+        monkeypatch.setattr(graph, "_ORBIT_SEARCH_NODES", 400)
         assert set(orbit_sets(g)) == {frozenset(range(g.n))}, name
